@@ -1,11 +1,6 @@
 package interp
 
-import (
-	"math"
-
-	"compreuse/internal/depmemo"
-	"compreuse/internal/minic"
-)
+import "compreuse/internal/depmemo"
 
 // Dependence-tracked reuse regions (ReuseRegion.Dep). Where execReuse
 // forms a flat key from every declared input up front, execDepReuse
@@ -35,12 +30,13 @@ type depRange struct {
 // depWatcher tracks one active dep-region instance. Watchers nest
 // dynamically (a dep region inside another's body, across calls): every
 // load/store notifies the whole chain through parent.
+// A location already read or written is not a new input: a second read
+// repeats the first, and a read after a write sees a derived value.
 type depWatcher struct {
 	parent  *depWatcher
 	ranges  []depRange
 	path    []depmemo.Step
-	seen    map[depmemo.Loc]struct{}
-	written map[depmemo.Loc]struct{}
+	touched map[depmemo.Loc]struct{}
 }
 
 // locate maps a memory cell to its trie location under this watcher,
@@ -58,21 +54,15 @@ func (w *depWatcher) locate(seg *Seg, off int) (depmemo.Loc, bool) {
 	return depmemo.Loc{}, false
 }
 
-// onRead records a first read of a watched, not-yet-written location.
+// onRead records a first read of a watched, untouched location.
 func (w *depWatcher) onRead(seg *Seg, off int, v Value) {
 	for ; w != nil; w = w.parent {
-		l, ok := w.locate(seg, off)
-		if !ok {
-			continue
+		if l, ok := w.locate(seg, off); ok {
+			if _, done := w.touched[l]; !done {
+				w.touched[l] = struct{}{}
+				w.path = append(w.path, depmemo.Step{Loc: l, Label: depEncode(v)})
+			}
 		}
-		if _, wr := w.written[l]; wr {
-			continue // derived value, not an input
-		}
-		if _, dup := w.seen[l]; dup {
-			continue
-		}
-		w.seen[l] = struct{}{}
-		w.path = append(w.path, depmemo.Step{Loc: l, Label: depEncode(v)})
 	}
 }
 
@@ -81,7 +71,7 @@ func (w *depWatcher) onRead(seg *Seg, off int, v Value) {
 func (w *depWatcher) onWrite(seg *Seg, off int) {
 	for ; w != nil; w = w.parent {
 		if l, ok := w.locate(seg, off); ok {
-			w.written[l] = struct{}{}
+			w.touched[l] = struct{}{}
 		}
 	}
 }
@@ -107,17 +97,14 @@ func (w *depWatcher) Fetch(l depmemo.Loc) uint64 {
 
 // depEncode maps a cell value to its 64-bit equality label.
 func depEncode(v Value) uint64 {
-	switch v.K {
-	case KFloat:
-		return math.Float64bits(v.F)
-	case KPtr:
+	if v.K == KPtr {
 		// Pointer-valued cells key on the offset only; segment identity
 		// is not stable across runs, but within one run two watched
 		// pointers into the same frame differ exactly by offset.
-		return depOOB(uint64(v.P.off) ^ 0x70747265)
-	default:
-		return uint64(v.I)
+		return depOOB(uint64(v.n) ^ 0x70747265)
 	}
+	// Int payloads and float bits; a function value's payload is 0.
+	return uint64(v.n)
 }
 
 // depOOB mixes a sentinel label (murmur3 finalizer, matching depmemo's
@@ -132,28 +119,6 @@ func depOOB(x uint64) uint64 {
 	return x
 }
 
-// getDepWatcher pops a cleared watcher off the machine's free list.
-func (mc *Machine) getDepWatcher() *depWatcher {
-	if n := len(mc.depFree); n > 0 {
-		w := mc.depFree[n-1]
-		mc.depFree = mc.depFree[:n-1]
-		return w
-	}
-	return &depWatcher{
-		seen:    map[depmemo.Loc]struct{}{},
-		written: map[depmemo.Loc]struct{}{},
-	}
-}
-
-func (mc *Machine) putDepWatcher(w *depWatcher) {
-	w.parent = nil
-	w.ranges = w.ranges[:0]
-	w.path = w.path[:0]
-	clear(w.seen)
-	clear(w.written)
-	mc.depFree = append(mc.depFree, w)
-}
-
 // execDepReuse executes a dependence-tracked ReuseRegion.
 //
 // In reuse mode the footprint trie is probed against current memory; a
@@ -163,63 +128,47 @@ func (mc *Machine) putDepWatcher(w *depWatcher) {
 // so hits and misses pay for the same per-level work, mirroring
 // execReuse's accounting). In profile mode the body always runs and the
 // table takes the footprint census unpriced.
-func (mc *Machine) execDepReuse(s *minic.ReuseRegion, fr *Seg) ctrl {
-	tab := mc.depTabs[s.TableID]
-	if tab == nil {
-		panic(rtErr(s.Pos(), "dep reuse region %q references unknown dep table %d", s.SegName, s.TableID))
-	}
-	st := mc.segs[s.ID()]
-	if st == nil {
-		st = &SegRunStats{}
-		mc.segs[s.ID()] = st
-	}
-	st.Instances++
-
-	w := mc.getDepWatcher()
-	for _, in := range s.Inputs {
-		t := in.Type()
-		p := mc.evalLValue(in, fr)
-		if minic.IsAggregate(t) {
-			w.ranges = append(w.ranges, depRange{seg: p.seg, base: p.off, words: t.Words()})
-		} else {
-			w.ranges = append(w.ranges, depRange{seg: p.seg, base: p.off, words: 1, scalar: true})
+func (mc *Machine) execDepReuse(r *region, fr *Seg) ctrl {
+	s := r.s
+	if r.dep == nil {
+		tab := mc.depTabs[s.TableID]
+		if tab == nil {
+			panic(rtErr(s.Pos(), "dep reuse region %q references unknown dep table %d", s.SegName, s.TableID))
 		}
+		r.dep, r.profile = tab, tab.Config().Profile
 	}
-
-	profile := tab.Config().Profile
-	if !profile {
-		r := tab.Probe(w)
-		if r.Hit {
-			oh := mc.m.DepOverhead(r.Steps, len(r.Outs)*4)
-			mc.charge(oh)
-			mc.ops.HashOps += oh
-			st.OverheadCycles += oh
+	st := mc.enterRegion(r)
+	sc := r.take()
+	w := &sc.w
+	defer func() {
+		w.parent, w.ranges, w.path = nil, w.ranges[:0], w.path[:0]
+		clear(w.touched)
+		r.spare = sc
+	}()
+	for i := range r.ins {
+		in := &r.ins[i]
+		p := in.addr(fr)
+		w.ranges = append(w.ranges, depRange{seg: p.seg, base: p.off, words: len(in.cells), scalar: in.val != nil})
+	}
+	if !r.profile {
+		if res := r.dep.Probe(w); res.Hit {
+			mc.chargeOverhead(st, mc.m.DepOverhead(res.Steps, len(res.Outs)*4))
 			st.Hits++
-			mc.writeOutputs(s, r.Outs, fr)
-			mc.putDepWatcher(w)
+			mc.writeOutputs(r, res.Outs, fr)
 			return cNone
 		}
 	}
-
 	w.parent = mc.depWatch
 	mc.depWatch = w
-	before := mc.cycles
-	c := mc.execStmt(s.Body, fr)
+	c := mc.runBody(r, fr)
 	mc.depWatch = w.parent
-	st.BodyCycles += mc.cycles - before
-	st.BodyRuns++
-	if c == cRet || c == cBreak || c == cCont {
-		mc.putDepWatcher(w)
+	if c != cNone {
 		return c
 	}
-	outs := mc.readOutputs(s, fr)
-	tab.Record(w.path, outs)
-	if !profile {
-		oh := mc.m.DepOverhead(len(w.path), len(outs)*4)
-		mc.charge(oh)
-		mc.ops.HashOps += oh
-		st.OverheadCycles += oh
+	sc.words = mc.readOutputs(sc.words[:0], r, fr)
+	r.dep.Record(w.path, sc.words)
+	if !r.profile {
+		mc.chargeOverhead(st, mc.m.DepOverhead(len(w.path), len(sc.words)*4))
 	}
-	mc.putDepWatcher(w)
 	return cNone
 }

@@ -1,13 +1,124 @@
 package interp
 
 import (
-	"math"
-	"strconv"
-	"strings"
-
+	"compreuse/internal/depmemo"
 	"compreuse/internal/minic"
 	"compreuse/internal/reusetab"
 )
+
+// region is a lowered ReuseRegion; table, stats and overhead resolve on
+// first entry. An instance takes spare, so a recursive entry gets its own.
+type region struct {
+	s         *minic.ReuseRegion
+	ins, outs []part
+	body      stmt
+	st        *SegRunStats
+	tab       *reusetab.Table
+	dep       *depmemo.Table
+	profile   bool
+	oh        int64
+	spare     *scratch
+}
+
+// scratch is one region instance's key, output and watcher buffers.
+type scratch struct {
+	key   []byte
+	words []uint64
+	w     depWatcher
+}
+
+func (r *region) take() *scratch {
+	sc := r.spare
+	r.spare = nil
+	if sc == nil {
+		sc = &scratch{w: depWatcher{touched: map[depmemo.Loc]struct{}{}}}
+	}
+	return sc
+}
+
+// part is one lowered region input or output: val reads a scalar (nil for
+// aggregates), addr designates the storage, whose scalar leaves are cells.
+type part struct {
+	val   expr
+	addr  lval
+	cells []cell
+	pos   minic.Pos
+}
+
+type cell struct {
+	off   int
+	float bool
+}
+
+func flatten(t minic.Type, off int, out []cell) []cell {
+	switch t := t.(type) {
+	case *minic.Array:
+		for i := 0; i < t.Len; i++ {
+			out = flatten(t.Elem, off+i*t.Elem.Words(), out)
+		}
+	case *minic.Struct:
+		for _, f := range t.Fields {
+			out = flatten(f.Type, off+f.WordOff, out)
+		}
+	default:
+		out = append(out, cell{off: off, float: minic.IsFloat(t)})
+	}
+	return out
+}
+
+// lowerParts lowers region inputs or outputs, with addr for aggregates and,
+// given lvalues, for all (hits write outputs; dep inputs are watched).
+func (mc *Machine) lowerParts(es []minic.Expr, lvalues bool) []part {
+	ps := make([]part, len(es))
+	for i, e := range es {
+		agg := minic.IsAggregate(e.Type())
+		ps[i] = part{cells: flatten(e.Type(), 0, nil), pos: e.Pos()}
+		if !agg {
+			ps[i].val = mc.lowerExpr(e)
+		}
+		if agg || lvalues {
+			ps[i].addr = mc.lowerLValue(e)
+		}
+	}
+	return ps
+}
+
+func (mc *Machine) lowerRegion(s *minic.ReuseRegion) stmt {
+	r := &region{s: s, body: mc.lowerStmt(s.Body), ins: mc.lowerParts(s.Inputs, s.Dep), outs: mc.lowerParts(s.Outputs, true)}
+	pos, exec := s.Pos(), mc.execReuse
+	if s.Dep {
+		exec = mc.execDepReuse
+	}
+	return func(fr *Seg) ctrl { mc.step(pos); return exec(r, fr) }
+}
+
+// enterRegion counts an instance against the region's stats, created on
+// first entry.
+func (mc *Machine) enterRegion(r *region) *SegRunStats {
+	if r.st == nil {
+		if r.st = mc.segs[r.s.ID()]; r.st == nil {
+			r.st = &SegRunStats{}
+			mc.segs[r.s.ID()] = r.st
+		}
+	}
+	r.st.Instances++
+	return r.st
+}
+
+func (mc *Machine) chargeOverhead(st *SegRunStats, oh int64) {
+	mc.charge(oh)
+	mc.ops.HashOps += oh
+	st.OverheadCycles += oh
+}
+
+// runBody executes the region body, accounting its cycles.
+func (mc *Machine) runBody(r *region, fr *Seg) ctrl {
+	before := mc.cycles
+	c := r.body(fr)
+	r.st.BodyCycles += mc.cycles - before
+	r.st.BodyRuns++
+	return c
+}
 
 // execReuse executes a ReuseRegion (paper Fig. 2b):
 //
@@ -20,201 +131,108 @@ import (
 // ModeProfile no overhead is charged — profiling is an offline activity —
 // and the body always runs while the table takes the input census; the
 // region additionally measures the body's granularity.
-func (mc *Machine) execReuse(s *minic.ReuseRegion, fr *Seg) ctrl {
-	tab := mc.tables[s.TableID]
-	if tab == nil {
-		panic(rtErr(s.Pos(), "reuse region %q references unknown table %d", s.SegName, s.TableID))
+func (mc *Machine) execReuse(r *region, fr *Seg) ctrl {
+	s := r.s
+	if r.tab == nil {
+		tab := mc.tables[s.TableID]
+		if tab == nil {
+			panic(rtErr(s.Pos(), "reuse region %q references unknown table %d", s.SegName, s.TableID))
+		}
+		cfg := tab.Config()
+		r.tab, r.profile = tab, cfg.Mode == reusetab.ModeProfile
+		if !r.profile {
+			r.oh = mc.m.HashOverhead(cfg.KeyBytes, cfg.OutBytes[s.SegBit])
+		}
 	}
-	st := mc.segs[s.ID()]
-	if st == nil {
-		st = &SegRunStats{}
-		mc.segs[s.ID()] = st
+	st := mc.enterRegion(r)
+	sc := r.take()
+	defer func() { r.spare = sc }()
+	sc.key = mc.appendKey(sc.key[:0], r, fr)
+	if !r.profile {
+		mc.chargeOverhead(st, r.oh)
 	}
-	st.Instances++
-
-	key := mc.buildKey(s, fr)
-	profile := tab.Config().Mode == reusetab.ModeProfile
-
-	if !profile {
-		oh := mc.hashOverhead(tab, s)
-		mc.charge(oh)
-		mc.ops.HashOps += oh
-		st.OverheadCycles += oh
-	}
-
-	outs, hit := tab.Probe(s.SegBit, key)
-	if hit {
+	if outs, hit := r.tab.Probe(s.SegBit, sc.key); hit {
 		st.Hits++
-		mc.writeOutputs(s, outs, fr)
+		mc.writeOutputs(r, outs, fr)
 		return cNone
 	}
-
-	before := mc.cycles
-	c := mc.execStmt(s.Body, fr)
-	st.BodyCycles += mc.cycles - before
-	st.BodyRuns++
-	if c == cRet || c == cBreak || c == cCont {
-		// A body that escapes abnormally does not reach the region exit;
-		// its outputs are not well-defined there, so nothing is recorded.
-		// (The transform pass only wraps single-entry single-exit bodies,
-		// so this is defensive.)
+	if c := mc.runBody(r, fr); c != cNone {
+		// A body escaping the region records nothing (defensive: the
+		// transform pass wraps only single-entry single-exit bodies).
 		return c
 	}
-	tab.Record(s.SegBit, key, mc.readOutputs(s, fr))
+	sc.words = mc.readOutputs(sc.words[:0], r, fr)
+	r.tab.Record(s.SegBit, sc.key, sc.words)
 	return cNone
 }
 
-// hashOverhead returns the memoized per-instance overhead for (table, seg).
-func (mc *Machine) hashOverhead(tab *reusetab.Table, s *minic.ReuseRegion) int64 {
-	k := [2]int{s.TableID, s.SegBit}
-	if oh, ok := mc.overheadMemo[k]; ok {
-		return oh
-	}
-	cfg := tab.Config()
-	oh := mc.m.HashOverhead(cfg.KeyBytes, cfg.OutBytes[s.SegBit])
-	mc.overheadMemo[k] = oh
-	return oh
-}
-
-// buildKey concatenates the bit patterns of the input values (paper §2.1).
-// Scalar ints contribute 4 bytes, floats 8; aggregate inputs contribute
-// every element.
-func (mc *Machine) buildKey(s *minic.ReuseRegion, fr *Seg) []byte {
-	var key []byte
-	for _, in := range s.Inputs {
-		key = mc.appendValue(key, in, fr)
+// appendKey concatenates the bit patterns of the input values (paper
+// §2.1). Scalar ints contribute 4 bytes, floats 8; aggregate inputs
+// contribute every element.
+func (mc *Machine) appendKey(key []byte, r *region, fr *Seg) []byte {
+	for i := range r.ins {
+		in := &r.ins[i]
+		if in.val != nil {
+			if v := in.val(fr); in.cells[0].float {
+				key = reusetab.AppendFloat(key, convFloat.do(v).float())
+			} else {
+				key = reusetab.AppendInt(key, convInt.do(v).n)
+			}
+			continue
+		}
+		base := in.addr(fr)
+		for _, c := range in.cells {
+			v := mc.load(Ptr{seg: base.seg, off: base.off + c.off}, in.pos)
+			if c.float {
+				key = reusetab.AppendFloat(key, v.fval())
+			} else {
+				key = reusetab.AppendInt(key, v.ival())
+			}
+		}
 	}
 	return key
 }
 
-func (mc *Machine) appendValue(key []byte, e minic.Expr, fr *Seg) []byte {
-	t := e.Type()
-	if minic.IsAggregate(t) {
-		base := mc.evalLValue(e, fr)
-		return mc.appendWords(key, base, t, e.Pos())
-	}
-	v := mc.evalExpr(e, fr)
-	switch {
-	case minic.IsFloat(t):
-		return reusetab.AppendFloat(key, convert(v, minic.FloatType).F)
-	default:
-		return reusetab.AppendInt(key, convert(v, minic.IntType).I)
-	}
-}
-
-// appendWords flattens an aggregate at base into the key, element by
-// element, following the type structure.
-func (mc *Machine) appendWords(key []byte, base Ptr, t minic.Type, pos minic.Pos) []byte {
-	switch t := t.(type) {
-	case *minic.Array:
-		ew := t.Elem.Words()
-		for i := 0; i < t.Len; i++ {
-			key = mc.appendWords(key, Ptr{seg: base.seg, off: base.off + i*ew}, t.Elem, pos)
-		}
-		return key
-	case *minic.Struct:
-		for _, f := range t.Fields {
-			key = mc.appendWords(key, Ptr{seg: base.seg, off: base.off + f.WordOff}, f.Type, pos)
-		}
-		return key
-	default:
-		v := mc.loadPtr(base, t, pos)
-		if minic.IsFloat(t) {
-			return reusetab.AppendFloat(key, v.F)
-		}
-		return reusetab.AppendInt(key, v.I)
-	}
-}
-
-// readOutputs encodes the current values of the output lvalues.
-func (mc *Machine) readOutputs(s *minic.ReuseRegion, fr *Seg) []uint64 {
-	var out []uint64
-	for _, o := range s.Outputs {
-		t := o.Type()
-		if minic.IsAggregate(t) {
-			base := mc.evalLValue(o, fr)
-			out = mc.readWords(out, base, t, o.Pos())
+// readOutputs appends the encoded values of the output lvalues; tables
+// copy what they record.
+func (mc *Machine) readOutputs(words []uint64, r *region, fr *Seg) []uint64 {
+	for i := range r.outs {
+		o := &r.outs[i]
+		if o.val != nil {
+			words = append(words, encodeScalar(o.val(fr), o.cells[0].float))
 			continue
 		}
-		v := mc.evalExpr(o, fr)
-		out = append(out, encodeScalar(v, t))
+		base := o.addr(fr)
+		for _, c := range o.cells {
+			words = append(words, encodeScalar(mc.load(Ptr{seg: base.seg, off: base.off + c.off}, o.pos), c.float))
+		}
 	}
-	return out
+	return words
 }
 
-func (mc *Machine) readWords(out []uint64, base Ptr, t minic.Type, pos minic.Pos) []uint64 {
-	switch t := t.(type) {
-	case *minic.Array:
-		ew := t.Elem.Words()
-		for i := 0; i < t.Len; i++ {
-			out = mc.readWords(out, Ptr{seg: base.seg, off: base.off + i*ew}, t.Elem, pos)
-		}
-		return out
-	case *minic.Struct:
-		for _, f := range t.Fields {
-			out = mc.readWords(out, Ptr{seg: base.seg, off: base.off + f.WordOff}, f.Type, pos)
-		}
-		return out
-	default:
-		return append(out, encodeScalar(mc.loadPtr(base, t, pos), t))
+func encodeScalar(v Value, float bool) uint64 {
+	if float {
+		return uint64(convFloat.do(v).n)
 	}
+	return uint64(convInt.do(v).n)
 }
 
 // writeOutputs decodes stored words into the output lvalues on a hit.
-func (mc *Machine) writeOutputs(s *minic.ReuseRegion, words []uint64, fr *Seg) {
+func (mc *Machine) writeOutputs(r *region, words []uint64, fr *Seg) {
 	i := 0
-	for _, o := range s.Outputs {
-		t := o.Type()
-		base := mc.evalLValue(o, fr)
-		i = mc.writeWords(words, i, base, t, o.Pos())
+	for j := range r.outs {
+		o := &r.outs[j]
+		base := o.addr(fr)
+		for _, c := range o.cells {
+			v := Value{K: KInt, n: int64(words[i])}
+			if c.float {
+				v.K = KFloat
+			}
+			mc.storePtr(Ptr{seg: base.seg, off: base.off + c.off}, v, o.pos)
+			i++
+		}
 	}
 	if i != len(words) {
-		panic(rtErr(s.Pos(), "reuse region %q: output width mismatch (%d of %d words)", s.SegName, i, len(words)))
+		panic(rtErr(r.s.Pos(), "reuse region %q: output width mismatch (%d of %d words)", r.s.SegName, i, len(words)))
 	}
-}
-
-func (mc *Machine) writeWords(words []uint64, i int, base Ptr, t minic.Type, pos minic.Pos) int {
-	switch t := t.(type) {
-	case *minic.Array:
-		ew := t.Elem.Words()
-		for j := 0; j < t.Len; j++ {
-			i = mc.writeWords(words, i, Ptr{seg: base.seg, off: base.off + j*ew}, t.Elem, pos)
-		}
-		return i
-	case *minic.Struct:
-		for _, f := range t.Fields {
-			i = mc.writeWords(words, i, Ptr{seg: base.seg, off: base.off + f.WordOff}, f.Type, pos)
-		}
-		return i
-	default:
-		mc.storePtr(base, decodeScalar(words[i], t), pos)
-		return i + 1
-	}
-}
-
-func encodeScalar(v Value, t minic.Type) uint64 {
-	if minic.IsFloat(t) {
-		return math.Float64bits(convert(v, minic.FloatType).F)
-	}
-	return uint64(convert(v, minic.IntType).I)
-}
-
-func decodeScalar(w uint64, t minic.Type) Value {
-	if minic.IsFloat(t) {
-		return FloatVal(math.Float64frombits(w))
-	}
-	return IntVal(int64(w))
-}
-
-// ---------------------------------------------------------------------------
-// Print formatting, shared by the builtins.
-
-func writeInt(sb *strings.Builder, v int64) {
-	sb.WriteString(strconv.FormatInt(v, 10))
-}
-
-func writeFloat(sb *strings.Builder, v float64) {
-	// %.6g keeps output stable across O-levels with differing rounding of
-	// the same computation.
-	sb.WriteString(strconv.FormatFloat(v, 'g', 6, 64))
 }

@@ -11,10 +11,18 @@
 //     the production table look-up semantics of Figure 2(b) (ModeReuse),
 //     charging the modeled hashing overhead so that transformed programs
 //     pay for their probes exactly as the cost model predicts.
+//
+// Each run lowers the checked AST into Go closures (lower.go), once and
+// per function on its first call, resolving slots, strides, conversions,
+// call targets and reuse tables (DESIGN.md, "The lowered VM"). Operators
+// specialize on static operand types behind a dynamic-kind guard: a value's
+// kind can differ from its static type (an unassigned float struct field
+// or pointer holds int 0), and the generic path then follows the kinds.
 package interp
 
 import (
 	"fmt"
+	"math"
 
 	"compreuse/internal/minic"
 )
@@ -32,99 +40,117 @@ const (
 
 // Seg is a storage segment: the global area or one call frame. Pointers
 // reference cells within a segment, so frames stay valid while pointed-to.
+// A function's code segment has no cells; function values point at it.
 type Seg struct {
 	data []Value
 	name string
+	fn   *function
 }
 
 // Ptr is a VM pointer: a cell offset within a segment. The zero Ptr is the
-// null pointer. ElemWords is the pointee size used to scale pointer
-// arithmetic and is carried on the value (MiniC pointers are typed, so this
-// is statically consistent).
+// null pointer. Pointer arithmetic scales by the pointee's word size,
+// which lowering resolves from the static type.
 type Ptr struct {
 	seg *Seg
 	off int
 }
 
-// IsNull reports whether p is the null pointer.
-func (p Ptr) IsNull() bool { return p.seg == nil }
-
-// Value is one VM scalar.
+// Value is one VM scalar in three words: the kind, a 64-bit payload (an
+// int, a float's bits or a pointer's cell offset) and the segment of a
+// pointer or function value.
 type Value struct {
-	K  Kind
-	I  int64
-	F  float64
-	P  Ptr
-	Fn *minic.FuncDecl
+	K   Kind
+	n   int64
+	seg *Seg
 }
 
 // IntVal makes an int value.
-func IntVal(v int64) Value { return Value{K: KInt, I: v} }
+func IntVal(v int64) Value { return Value{K: KInt, n: v} }
 
 // FloatVal makes a float value.
-func FloatVal(v float64) Value { return Value{K: KFloat, F: v} }
+func FloatVal(v float64) Value { return Value{K: KFloat, n: int64(math.Float64bits(v))} }
+
+func ptrVal(p Ptr) Value { return Value{K: KPtr, n: int64(p.off), seg: p.seg} }
+
+// ptr is a pointer value's address; float its number (for KFloat).
+func (v Value) ptr() Ptr       { return Ptr{seg: v.seg, off: int(v.n)} }
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.n)) }
+
+// ival and fval read a value as an int or a float the way a kind-tagged
+// union with separate fields would: a payload of another kind reads as 0.
+func (v Value) ival() int64 {
+	if v.K == KInt {
+		return v.n
+	}
+	return 0
+}
+
+func (v Value) fval() float64 {
+	if v.K == KFloat {
+		return v.float()
+	}
+	return 0
+}
 
 // Truthy reports C truth: nonzero / non-null.
 func (v Value) Truthy() bool {
 	switch v.K {
 	case KInt:
-		return v.I != 0
+		return v.n != 0
 	case KFloat:
-		return v.F != 0
-	case KPtr:
-		return !v.P.IsNull()
-	case KFunc:
-		return v.Fn != nil
+		return v.float() != 0
 	}
-	return false
+	return v.seg != nil
 }
 
-func (v Value) String() string {
-	switch v.K {
-	case KInt:
-		return fmt.Sprintf("%d", v.I)
-	case KFloat:
-		return fmt.Sprintf("%g", v.F)
-	case KPtr:
-		if v.P.IsNull() {
-			return "null"
-		}
-		return fmt.Sprintf("&%s[%d]", v.P.seg.name, v.P.off)
-	case KFunc:
-		if v.Fn == nil {
-			return "func(null)"
-		}
-		return "func " + v.Fn.Name
-	}
-	return "?"
-}
+// conv is an assignment conversion resolved from the static target type
+// at lower time: the VM coerces a value to the representation of an int,
+// float or pointer slot and passes everything else through.
+type conv uint8
 
-// convert coerces v to the representation of type t (assignment semantics).
-func convert(v Value, t minic.Type) Value {
+const (
+	convNone conv = iota // function pointers, struct words: bit-preserving
+	convInt
+	convFloat
+	convPtr
+)
+
+func convOf(t minic.Type) conv {
 	switch {
 	case minic.IsInt(t):
-		if v.K == KFloat {
-			return IntVal(int64(v.F))
-		}
-		if v.K == KPtr {
-			// Pointer-to-int: expose a stable-ish integer (segment-relative).
-			return IntVal(int64(v.P.off))
-		}
-		return Value{K: KInt, I: v.I}
+		return convInt
 	case minic.IsFloat(t):
-		if v.K == KInt {
-			return FloatVal(float64(v.I))
+		return convFloat
+	}
+	if _, ok := t.(*minic.Pointer); ok {
+		return convPtr
+	}
+	return convNone
+}
+
+// do coerces v to c's representation (assignment semantics).
+func (c conv) do(v Value) Value {
+	switch c {
+	case convInt:
+		if v.K == KFloat {
+			return IntVal(int64(v.float()))
 		}
-		return Value{K: KFloat, F: v.F}
-	default:
-		if _, ok := t.(*minic.Pointer); ok && v.K == KInt {
+		// A pointer converts to its segment-relative offset, a function
+		// value to 0.
+		return IntVal(v.n)
+	case convFloat:
+		if v.K == KInt {
+			return FloatVal(float64(v.n))
+		}
+		return FloatVal(v.fval())
+	case convPtr:
+		if v.K == KInt {
 			// Integer-to-pointer: only the null constant is meaningful in
 			// the VM's segmented memory; any integer converts to null.
 			return Value{K: KPtr}
 		}
-		// Function pointers, struct words: bit-preserving.
-		return v
 	}
+	return v
 }
 
 // RuntimeError is a MiniC execution fault (null dereference, division by
