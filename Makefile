@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race check bench bench-json bench-gate eval serve eval-serve eval-json fuzz loadgen smoke fleet fleet-smoke trace-smoke
+.PHONY: build vet test race check bench bench-vm bench-json bench-gate eval serve eval-serve eval-json fuzz loadgen smoke fleet fleet-smoke trace-smoke
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,12 @@ check: build vet race
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem .
+
+# bench-vm runs the VM micro-benchmark: one suite program per family
+# (G721, MPEG2, GNUGO, RASTA) at scale-8 inputs, reporting ns/op,
+# allocs/op and simulated Mcycles/s.
+bench-vm:
+	$(GO) test -run=NONE -bench=BenchmarkVM -benchmem ./internal/interp/
 
 # bench-json snapshots the perf trajectory (hot-path ns + allocs/op,
 # loadgen throughput, GET RTT p50/p99 over TCP loopback vs a unix

@@ -119,3 +119,82 @@ func TestFuzzPipelineO3(t *testing.T) {
 		}
 	}
 }
+
+// genWideKernelProgram builds dependence-key candidates: each kernel's
+// flat key is dominated by a wide global table, but its body reads only
+// the selector and one to three cells chosen by it, so the footprint is
+// narrow and, with a small selector range, mostly invariant. main churns
+// a cell no kernel reads, which defeats a flat key but not a footprint.
+func genWideKernelProgram(rng *rand.Rand) string {
+	var sb strings.Builder
+	width := []int{128, 256, 512}[rng.Intn(3)]
+	fmt.Fprintf(&sb, "int grid[%d];\n\n", width)
+	nKernels := 1 + rng.Intn(2)
+	for k := 0; k < nKernels; k++ {
+		fmt.Fprintf(&sb, "int wide%d(int j) {\n    int a;\n    int r;\n", k)
+		switch rng.Intn(3) {
+		case 0: // one cell
+			sb.WriteString("    a = grid[j];\n")
+		case 1: // two cells at a fixed distance
+			fmt.Fprintf(&sb, "    a = grid[j] + grid[j + %d];\n", 1+rng.Intn(16))
+		default: // the selector decides the read set
+			fmt.Fprintf(&sb, "    if (j & 1) { a = grid[j]; } else { a = grid[j + 1] * %d + grid[j + 2]; }\n", 2+rng.Intn(5))
+		}
+		fmt.Fprintf(&sb, "    r = (a * %d + j + %d) / 3;\n", 3+rng.Intn(9), rng.Intn(50))
+		for i, steps := 0, 8+rng.Intn(6); i < steps; i++ {
+			fmt.Fprintf(&sb, "    r = (r * %d + a) / %d;\n", 7+rng.Intn(30), 3+rng.Intn(17))
+		}
+		sb.WriteString("    return r;\n}\n\n")
+	}
+	mask := []int{3, 7, 15}[rng.Intn(3)]
+	sb.WriteString("int main(int seed, int n) {\n    int s = 0;\n    int v;\n")
+	fmt.Fprintf(&sb, "    for (v = 0; v < %d; v++) {\n        grid[v] = (v * 37 + seed) & 1023;\n    }\n", width-1)
+	sb.WriteString("    for (v = 0; v < n; v++) {\n")
+	fmt.Fprintf(&sb, "        grid[%d] = v;\n", width-1)
+	for k := 0; k < nKernels; k++ {
+		fmt.Fprintf(&sb, "        s = (s + wide%d((v * %d + seed) & %d)) & 16777215;\n", k, 1+2*rng.Intn(4), mask)
+	}
+	sb.WriteString("    }\n    print_int(s);\n    return s & 255;\n}\n")
+	return sb.String()
+}
+
+// TestFuzzPipelineDepKeys is the dependence-key arm of the differential
+// fuzzer: with Options.DepKeys the transformed program must still return
+// and print exactly what the original does, and across the corpus the
+// second chance must admit footprint-keyed segments, so the watcher and
+// trie-probe paths of the VM really run.
+func TestFuzzPipelineDepKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(20040320))
+	iters := 24
+	if testing.Short() {
+		iters = 8
+	}
+	var admitted, hits int64
+	for i := 0; i < iters; i++ {
+		src := genWideKernelProgram(rng)
+		rep, err := Run(Options{
+			Name:     fmt.Sprintf("widefuzz%d.c", i),
+			Source:   src,
+			MainArgs: []int64{int64(rng.Intn(1000) + 1), int64(300 + rng.Intn(500))},
+			DepKeys:  true,
+		})
+		if err != nil {
+			t.Fatalf("iter %d: %v\n%s", i, err, src)
+		}
+		if rep.Baseline.Ret != rep.Reuse.Ret || rep.Baseline.Output != rep.Reuse.Output {
+			t.Fatalf("iter %d: dep-key pipeline changed semantics: ret %d->%d\n%s\n--- transformed ---\n%s",
+				i, rep.Baseline.Ret, rep.Reuse.Ret, src, rep.TransformedSource)
+		}
+		for _, ti := range rep.Tables {
+			if ti.Dep {
+				admitted++
+				hits += ti.Stats.Hits
+			}
+		}
+	}
+	if admitted == 0 || hits == 0 {
+		t.Fatalf("no dependence-keyed segment admitted and hit across %d programs (admitted %d, hits %d)",
+			iters, admitted, hits)
+	}
+	t.Logf("%d dep-key tables admitted, %d trie hits", admitted, hits)
+}
