@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race check bench bench-vm bench-json bench-gate eval serve eval-serve eval-json fuzz loadgen smoke fleet fleet-smoke trace-smoke
+.PHONY: build vet test race check bench bench-vm bench-pipeline bench-json bench-gate eval serve eval-serve eval-json fuzz loadgen smoke fleet fleet-smoke trace-smoke
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,12 @@ bench:
 # allocs/op and simulated Mcycles/s.
 bench-vm:
 	$(GO) test -run=NONE -bench=BenchmarkVM -benchmem ./internal/interp/
+
+# bench-pipeline runs core.Run end to end on one suite program (GNUGO)
+# at scale-8 inputs, at O0, O3 and O0 with dependence keys, reporting
+# ns/op and allocs/op.
+bench-pipeline:
+	$(GO) test -run=NONE -bench=BenchmarkCoreRun -benchmem ./internal/core/
 
 # bench-json snapshots the perf trajectory (hot-path ns + allocs/op,
 # loadgen throughput, GET RTT p50/p99 over TCP loopback vs a unix

@@ -423,10 +423,7 @@ func Run(o Options) (*Report, error) {
 	// each on its own fresh copy.
 	profiles := map[string]*profile.SegProfile{}
 	if o.Profile != nil {
-		snap, err := o.Profile.Profiles()
-		if err != nil {
-			return nil, err
-		}
+		snap := o.Profile.Profiles()
 		// Keep only the profiles for segments that are candidates of this
 		// compilation.
 		for _, s := range candidates {

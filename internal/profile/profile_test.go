@@ -229,11 +229,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if back.Program != "p.c" || back.OptLevel != "O0" || len(back.Freq) != 3 || back.Freq[1] != 3 {
 		t.Fatalf("header lost: %+v", back)
 	}
-	profs, err := back.Profiles()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := profs["k@func"]
+	got := back.Profiles()["k@func"]
 	if got == nil || got.N != 100 || got.Nds != 7 || got.MeasuredC != 333.5 {
 		t.Fatalf("profile lost: %+v", got)
 	}
@@ -257,10 +253,8 @@ func TestSnapshotBadInput(t *testing.T) {
 	if err != nil || s.Segments == nil {
 		t.Fatalf("empty snapshot must normalize: %v %v", s, err)
 	}
-	bad := &Snapshot{Segments: map[string]*SegSnapshot{
-		"x": {Census: []KeyEntry{{KeyHex: "zz"}}},
-	}}
-	if _, err := bad.Profiles(); err == nil {
-		t.Fatal("expected hex error")
+	bad := `{"segments": {"x": {"census": [{"key": "zz", "count": 1, "rank": 0}]}}}`
+	if _, err := LoadSnapshot(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "zz") {
+		t.Fatalf("expected hex error naming the key, got %v", err)
 	}
 }

@@ -41,11 +41,40 @@ type SegSnapshot struct {
 	AccessCounts []int64    `json:"access_counts,omitempty"`
 }
 
-// KeyEntry is one census line with a hex-encoded key.
+// KeyEntry is one census line. Key holds the raw input-set bytes; the
+// JSON form hex-encodes them, so encoding cost is paid only when a
+// snapshot is saved.
 type KeyEntry struct {
+	Key   string
+	Count int64
+	Rank  int
+}
+
+// keyEntryJSON is KeyEntry's serialized form.
+type keyEntryJSON struct {
 	KeyHex string `json:"key"`
 	Count  int64  `json:"count"`
 	Rank   int    `json:"rank"`
+}
+
+// MarshalJSON writes the entry with a hex-encoded key.
+func (e KeyEntry) MarshalJSON() ([]byte, error) {
+	return json.Marshal(keyEntryJSON{KeyHex: hex.EncodeToString([]byte(e.Key)), Count: e.Count, Rank: e.Rank})
+}
+
+// UnmarshalJSON reads an entry written by MarshalJSON, rejecting a key
+// that is not valid hex.
+func (e *KeyEntry) UnmarshalJSON(b []byte) error {
+	var j keyEntryJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	key, err := hex.DecodeString(j.KeyHex)
+	if err != nil {
+		return fmt.Errorf("bad census key %q: %w", j.KeyHex, err)
+	}
+	*e = KeyEntry{Key: string(key), Count: j.Count, Rank: j.Rank}
+	return nil
 }
 
 // ToSnapshot packages profiles and a frequency vector.
@@ -69,12 +98,11 @@ func ToSnapshot(program, optLevel string, args []int64, freq []int64,
 			KeyBytes:     sp.KeyBytes,
 			AccessCounts: sp.AccessCounts,
 		}
-		for _, kc := range sp.Census {
-			ss.Census = append(ss.Census, KeyEntry{
-				KeyHex: hex.EncodeToString([]byte(kc.Key)),
-				Count:  kc.Count,
-				Rank:   kc.Rank,
-			})
+		if len(sp.Census) > 0 {
+			ss.Census = make([]KeyEntry, len(sp.Census))
+			for i, kc := range sp.Census {
+				ss.Census[i] = KeyEntry(kc)
+			}
 		}
 		s.Segments[name] = ss
 	}
@@ -82,7 +110,7 @@ func ToSnapshot(program, optLevel string, args []int64, freq []int64,
 }
 
 // Profiles reconstructs the in-memory profile map from a snapshot.
-func (s *Snapshot) Profiles() (map[string]*SegProfile, error) {
+func (s *Snapshot) Profiles() map[string]*SegProfile {
 	out := map[string]*SegProfile{}
 	for name, ss := range s.Segments {
 		sp := &SegProfile{
@@ -95,19 +123,15 @@ func (s *Snapshot) Profiles() (map[string]*SegProfile, error) {
 			KeyBytes:     ss.KeyBytes,
 			AccessCounts: ss.AccessCounts,
 		}
-		for _, ke := range ss.Census {
-			key, err := hex.DecodeString(ke.KeyHex)
-			if err != nil {
-				return nil, fmt.Errorf("profile snapshot: segment %s: bad key %q: %w",
-					name, ke.KeyHex, err)
+		if len(ss.Census) > 0 {
+			sp.Census = make([]reusetab.KeyCount, len(ss.Census))
+			for i, ke := range ss.Census {
+				sp.Census[i] = reusetab.KeyCount(ke)
 			}
-			sp.Census = append(sp.Census, reusetab.KeyCount{
-				Key: string(key), Count: ke.Count, Rank: ke.Rank,
-			})
 		}
 		out[name] = sp
 	}
-	return out, nil
+	return out
 }
 
 // Save writes the snapshot as indented JSON.

@@ -1,0 +1,68 @@
+package profile
+
+import (
+	"bytes"
+	"os"
+	"reflect"
+	"testing"
+
+	"compreuse/internal/reusetab"
+)
+
+// goldenProfiles is a two-segment profile whose census keys include zero
+// bytes and bytes at or above 0x80, plus a segment with no census.
+func goldenProfiles() map[string]*SegProfile {
+	return map[string]*SegProfile{
+		"k@func": {
+			Name: "k@func", TableName: "k@func", N: 100, Nds: 4,
+			MeasuredC: 333.5, Overhead: 45, KeyBytes: 4,
+			Census: []reusetab.KeyCount{
+				{Key: "\x00\x00\x00\x00", Count: 50, Rank: 0},
+				{Key: string(reusetab.AppendInt(nil, -9)), Count: 30, Rank: 1},
+				{Key: "\x80\xff\x00\x7f", Count: 15, Rank: 2},
+				{Key: "", Count: 5, Rank: 3},
+			},
+			AccessCounts: []int64{50, 30, 15, 5},
+		},
+		"k@loop1": {
+			Name: "k@loop1", TableName: "k@func", N: 7, Nds: 0,
+			MeasuredC: 12, Overhead: 45, KeyBytes: 8,
+		},
+	}
+}
+
+// TestSnapshotGolden pins the snapshot file format: Save's bytes must
+// equal testdata/snapshot.golden.json, which was written by the earlier
+// encoder that hex-encoded census keys while building the snapshot, and
+// loading the file must give back the same profiles. The file is a fixed
+// record of that format, not regenerated.
+func TestSnapshotGolden(t *testing.T) {
+	profs := goldenProfiles()
+	var buf bytes.Buffer
+	if err := ToSnapshot("p.c", "O3", []int64{7, 20000}, []int64{0, 100, 7}, profs).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const path = "testdata/snapshot.golden.json"
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("snapshot bytes differ from %s:\n%s", path, buf.String())
+	}
+
+	snap, err := LoadSnapshot(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Program != "p.c" || snap.OptLevel != "O3" ||
+		!reflect.DeepEqual(snap.Args, []int64{7, 20000}) || !reflect.DeepEqual(snap.Freq, []int64{0, 100, 7}) {
+		t.Fatalf("header lost: %+v", snap)
+	}
+	if got := snap.Profiles(); !reflect.DeepEqual(got, profs) {
+		for name, sp := range got {
+			t.Errorf("%s: got %+v, want %+v", name, sp, profs[name])
+		}
+		t.Fatal("profiles did not round-trip")
+	}
+}

@@ -129,6 +129,29 @@ func TestTableZeroAllocDirectChurn(t *testing.T) {
 	})
 }
 
+// TestTableZeroAllocProfileProbe asserts that a value-set profiling
+// probe of a key the table has already seen allocates nothing, on every
+// segment of a merged table: the census is one rank lookup plus slice
+// increments.
+func TestTableZeroAllocProfileProbe(t *testing.T) {
+	cfg := Config{Name: "alloc-profile", Segs: 2, KeyBytes: 8,
+		OutWords: []int{2, 1}, OutBytes: []int{16, 8}, Mode: ModeProfile}
+	tab := New(cfg)
+	keys := fillKeys(64)
+	for seg := range cfg.Segs {
+		for _, k := range keys {
+			tab.Probe(seg, k)
+		}
+	}
+	i := 0
+	assertZeroAllocs(t, "profile/probe-seen", func() {
+		if _, hit := tab.Probe(i%2, keys[i%len(keys)]); hit {
+			t.Fatal("profile mode must never hit")
+		}
+		i++
+	})
+}
+
 // TestShardedZeroAllocSteadyState asserts the concurrent wrapper adds no
 // allocations of its own: ProbeWord and ProbeInto hits and resident
 // re-records are allocation-free.

@@ -3,7 +3,6 @@ package reusetab
 import (
 	"bytes"
 	"fmt"
-	"sort"
 
 	"compreuse/internal/obs"
 )
@@ -137,17 +136,21 @@ type Table struct {
 	// Optimal (unbounded) storage.
 	byKey map[string]*entry
 
-	// Profiling census: per-key execution counts (ModeProfile). census is
-	// the union over merged segments; segCensus is per segment (a merged
-	// table's members probe with their own dynamic key streams, so their
-	// N_ds values differ).
-	census    map[string]int64
-	segCensus []map[string]int64
-	// accessCounts counts probes per resident slot index for the
-	// direct-addressed modes (Figures 7 and 8). In optimal mode the
-	// index is the entry's insertion rank.
-	accessCounts map[int]int64
-	rank         map[string]int
+	// rank maps every probed key to its first-seen rank.
+	rank map[string]int
+	// accessCounts counts probes per table entry (Figures 7 and 8): per
+	// slot index for the direct-addressed and LRU modes, per first-seen
+	// rank for optimal and profiling tables. A profiling table's
+	// accessCounts is its union census.
+	accessCounts []int64
+	// Per-segment profiling census (ModeProfile), indexed by rank: a
+	// merged table's members probe with their own dynamic key streams,
+	// so their N_ds values differ. rankKeys[r] is the key of rank r,
+	// segCounts[seg][r] its probe count by seg, and segDistinct[seg] the
+	// number of nonzero segCounts[seg] entries.
+	rankKeys    []string
+	segCounts   [][]int64
+	segDistinct []int
 }
 
 // New creates a table from cfg. It panics on malformed configs (these are
@@ -164,21 +167,18 @@ func New(cfg Config) *Table {
 		panic("reusetab: merged tables support at most 64 segments (one valid-bit word)")
 	}
 	t := &Table{
-		cfg:          cfg,
-		stats:        make([]SegStats, cfg.Segs),
-		accessCounts: map[int]int64{},
-		rank:         map[string]int{},
-		occGauge:     OccupancyGauge(cfg.Name),
+		cfg:      cfg,
+		stats:    make([]SegStats, cfg.Segs),
+		rank:     map[string]int{},
+		occGauge: OccupancyGauge(cfg.Name),
 	}
 	switch {
 	case cfg.Mode == ModeProfile:
-		t.census = map[string]int64{}
-		t.segCensus = make([]map[string]int64, cfg.Segs)
-		for i := range t.segCensus {
-			t.segCensus[i] = map[string]int64{}
-		}
+		t.segCounts = make([][]int64, cfg.Segs)
+		t.segDistinct = make([]int, cfg.Segs)
 	case cfg.Entries > 0:
 		t.slots = make([]entry, cfg.Entries)
+		t.accessCounts = make([]int64, cfg.Entries)
 		if cfg.LRU {
 			t.lruIdx = make(map[string]int, cfg.Entries)
 			t.lruList = NewLRUList(cfg.Entries)
@@ -296,7 +296,8 @@ func (t *Table) Probe(seg int, key []byte) ([]uint64, bool) {
 // state: every map access spells the string conversion inline
 // (m[string(key)]), which the compiler elides to a hash of the bytes; a
 // string is only materialized when a first-seen key is inserted into the
-// rank map. The returned slice is the table's own storage — it stays
+// rank map. A profiling probe is that one rank lookup plus slice
+// increments. The returned slice is the table's own storage — it stays
 // valid until the next Record for the same key and segment, which
 // overwrites it in place (callers that retain hits across records, like
 // the concurrent Sharded wrapper, must copy; the VM consumes hits
@@ -306,29 +307,27 @@ func (t *Table) probe(seg int, key []byte) ([]uint64, bool) {
 	st.Probes++
 	t.clock++
 
+	// Every mode tracks each probed key's first-seen rank, so Distinct()
+	// reports the paper's N_ds for bounded tables too.
+	r := t.rankOf(key)
 	if t.cfg.Mode == ModeProfile {
-		ks := string(key)
-		t.census[ks]++
-		t.segCensus[seg][ks]++
-		if _, ok := t.rank[ks]; !ok {
-			t.rank[ks] = len(t.rank)
+		t.accessCounts[r]++
+		sc := t.segCounts[seg]
+		for len(sc) <= r {
+			sc = append(sc, 0)
 		}
-		t.accessCounts[t.rank[ks]]++
+		if sc[r] == 0 {
+			t.segDistinct[seg]++
+		}
+		sc[r]++
+		t.segCounts[seg] = sc
 		return nil, false
-	}
-
-	// Track every probed key's first-seen rank in all modes, so
-	// Distinct() reports the paper's N_ds for bounded tables too (it used
-	// to stay 0 outside optimal/profile modes, which made every bounded
-	// table look like reuse rate 1.0).
-	if _, ok := t.rank[string(key)]; !ok {
-		t.rank[string(key)] = len(t.rank)
 	}
 
 	bit := uint64(1) << uint(seg)
 	switch {
 	case t.byKey != nil:
-		t.accessCounts[t.rank[string(key)]]++
+		t.accessCounts[r]++
 		e, ok := t.byKey[string(key)]
 		if !ok || e.valid&bit == 0 {
 			st.Misses++
@@ -374,6 +373,25 @@ func (t *Table) probe(seg int, key []byte) ([]uint64, bool) {
 		st.Hits++
 		return e.outs[seg], true
 	}
+}
+
+// rankOf returns key's first-seen rank, assigning the next rank to a new
+// key. Rank-indexed access counts (optimal and profiling tables) grow
+// with the ranks, and a profiling table keeps each key for its census.
+func (t *Table) rankOf(key []byte) int {
+	if r, ok := t.rank[string(key)]; ok {
+		return r
+	}
+	ks := string(key)
+	r := len(t.rank)
+	t.rank[ks] = r
+	if t.slots == nil {
+		t.accessCounts = append(t.accessCounts, 0)
+	}
+	if t.cfg.Mode == ModeProfile {
+		t.rankKeys = append(t.rankKeys, ks)
+	}
+	return r
 }
 
 // Record stores the outputs computed for key by segment seg. In
@@ -519,14 +537,18 @@ func (t *Table) Reset() {
 	if t.byKey != nil {
 		clear(t.byKey)
 	}
-	if t.census != nil {
-		clear(t.census)
-		for i := range t.segCensus {
-			clear(t.segCensus[i])
-		}
-	}
-	clear(t.accessCounts)
 	clear(t.rank)
+	if t.slots != nil {
+		clear(t.accessCounts)
+	} else {
+		t.accessCounts = t.accessCounts[:0]
+	}
+	clear(t.rankKeys)
+	t.rankKeys = t.rankKeys[:0]
+	for i := range t.segCounts {
+		t.segCounts[i] = t.segCounts[i][:0]
+		t.segDistinct[i] = 0
+	}
 	if t.occGauge != nil && obs.On() {
 		t.occGauge.Set(0)
 	}
@@ -537,46 +559,32 @@ func (t *Table) Reset() {
 // modes — optimal, direct-addressed and LRU alike — it is the number of
 // distinct keys ever probed, the paper's N_ds, even when the bounded
 // storage itself no longer holds them.
-func (t *Table) Distinct() int {
-	if t.census != nil {
-		return len(t.census)
-	}
-	return len(t.rank)
-}
+func (t *Table) Distinct() int { return len(t.rank) }
 
 // SegDistinct returns the paper's N_ds for one segment: the number of
 // distinct input sets that segment probed with (ModeProfile only; falls
 // back to the union count otherwise).
 func (t *Table) SegDistinct(seg int) int {
-	if t.segCensus != nil {
-		return len(t.segCensus[seg])
+	if t.segDistinct != nil {
+		return t.segDistinct[seg]
 	}
 	return t.Distinct()
 }
 
-// Census returns the per-key execution counts collected in ModeProfile,
-// or nil in other modes. The returned map is live; callers must not
-// mutate it.
-func (t *Table) Census() map[string]int64 { return t.census }
-
-// AccessCounts returns probe counts per table entry (slot index for
-// bounded tables, insertion rank for optimal tables), sorted by index.
-// This regenerates the paper's Figures 7 and 8.
+// AccessCounts returns a copy of the probe counts per table entry (slot
+// index for bounded tables, first-seen rank for optimal and profiling
+// tables), sorted by index. This regenerates the paper's Figures 7 and 8.
+// The slice ends at the last entry probed at least once; it is nil when
+// no entry was.
 func (t *Table) AccessCounts() []int64 {
-	if len(t.accessCounts) == 0 {
+	n := len(t.accessCounts)
+	for n > 0 && t.accessCounts[n-1] == 0 {
+		n--
+	}
+	if n == 0 {
 		return nil
 	}
-	maxIdx := 0
-	for i := range t.accessCounts {
-		if i > maxIdx {
-			maxIdx = i
-		}
-	}
-	out := make([]int64, maxIdx+1)
-	for i, c := range t.accessCounts {
-		out[i] = c
-	}
-	return out
+	return append([]int64(nil), t.accessCounts[:n]...)
 }
 
 // SizeBytes reports the modeled memory consumption of the table: per entry,
@@ -595,8 +603,8 @@ func (t *Table) SizeBytes() int {
 	if t.byKey != nil {
 		n = len(t.byKey)
 	}
-	if t.census != nil {
-		n = len(t.census)
+	if t.cfg.Mode == ModeProfile {
+		n = len(t.rank)
 	}
 	return per * n
 }
@@ -634,24 +642,31 @@ func (t *Table) Resident() int { return t.resident }
 
 // SortedCensus returns the union profiling census as (key, count) pairs
 // in first-seen order, for histogram rendering and table sizing.
+// It is nil outside ModeProfile.
 func (t *Table) SortedCensus() []KeyCount {
-	return censusPairs(t.census, t.rank)
+	if t.cfg.Mode != ModeProfile {
+		return nil
+	}
+	return t.censusPairs(t.accessCounts, len(t.rank))
 }
 
 // SegSortedCensus returns one segment's census in first-seen order.
 func (t *Table) SegSortedCensus(seg int) []KeyCount {
-	if t.segCensus == nil {
+	if t.cfg.Mode != ModeProfile {
 		return nil
 	}
-	return censusPairs(t.segCensus[seg], t.rank)
+	return t.censusPairs(t.segCounts[seg], t.segDistinct[seg])
 }
 
-func censusPairs(census map[string]int64, rank map[string]int) []KeyCount {
-	out := make([]KeyCount, 0, len(census))
-	for k, c := range census {
-		out = append(out, KeyCount{Key: k, Count: c, Rank: rank[k]})
+// censusPairs lists the n nonzero entries of a rank-indexed count slice
+// as census lines, in rank order.
+func (t *Table) censusPairs(counts []int64, n int) []KeyCount {
+	out := make([]KeyCount, 0, n)
+	for r, c := range counts {
+		if c > 0 {
+			out = append(out, KeyCount{Key: t.rankKeys[r], Count: c, Rank: r})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Rank < out[j].Rank })
 	return out
 }
 

@@ -2,6 +2,7 @@ package reusetab
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -228,6 +229,75 @@ func TestProfileModeCensus(t *testing.T) {
 	if st.Probes != 7 || st.Hits != 0 {
 		t.Fatalf("profile stats: %+v", st)
 	}
+}
+
+// TestProfileModeMergedCensus pins the census of a merged profiling
+// table whose two segments probe overlapping key streams: per-segment
+// N_ds and counts in first-seen rank order, the union census, access
+// counts and modeled size, before and after Reset.
+func TestProfileModeMergedCensus(t *testing.T) {
+	cfg := Config{Name: "merged", Segs: 2, KeyBytes: 4,
+		OutWords: []int{2, 1}, OutBytes: []int{8, 4}, Mode: ModeProfile}
+	tab := New(cfg)
+	a, b, c, d := string(key32(10)), string(key32(20)), string(key32(30)), string(key32(40))
+	probe := func(seg int, k string) {
+		if _, hit := tab.Probe(seg, []byte(k)); hit {
+			t.Fatal("profile mode must never hit")
+		}
+	}
+	// Ranks by first sight: a=0, b=1, d=2, c=3.
+	for _, p := range []struct {
+		seg int
+		key string
+	}{{0, a}, {1, b}, {0, b}, {1, d}, {0, a}, {1, b}, {0, c}, {1, a}} {
+		probe(p.seg, p.key)
+	}
+	check := func(when string, segDistinct []int, segCensus [][]KeyCount, census []KeyCount,
+		access []int64, size int) {
+		t.Helper()
+		for seg := range cfg.Segs {
+			if got := tab.SegDistinct(seg); got != segDistinct[seg] {
+				t.Errorf("%s: SegDistinct(%d) = %d, want %d", when, seg, got, segDistinct[seg])
+			}
+			if got := tab.SegSortedCensus(seg); len(got)+len(segCensus[seg]) > 0 &&
+				!reflect.DeepEqual(got, segCensus[seg]) {
+				t.Errorf("%s: SegSortedCensus(%d) = %+v, want %+v", when, seg, got, segCensus[seg])
+			}
+		}
+		if got := tab.Distinct(); got != len(census) {
+			t.Errorf("%s: Distinct = %d, want %d", when, got, len(census))
+		}
+		if got := tab.SortedCensus(); len(got)+len(census) > 0 && !reflect.DeepEqual(got, census) {
+			t.Errorf("%s: SortedCensus = %+v, want %+v", when, got, census)
+		}
+		if got := tab.AccessCounts(); !reflect.DeepEqual(got, access) {
+			t.Errorf("%s: AccessCounts = %v, want %v", when, got, access)
+		}
+		if got := tab.SizeBytes(); got != size {
+			t.Errorf("%s: SizeBytes = %d, want %d", when, got, size)
+		}
+	}
+	// One entry models the 4-byte key, 8+4 output bytes and the 8-byte
+	// valid-bit word of a merged table: 24 bytes.
+	check("before reset", []int{3, 3},
+		[][]KeyCount{
+			{{Key: a, Count: 2, Rank: 0}, {Key: b, Count: 1, Rank: 1}, {Key: c, Count: 1, Rank: 3}},
+			{{Key: a, Count: 1, Rank: 0}, {Key: b, Count: 2, Rank: 1}, {Key: d, Count: 1, Rank: 2}},
+		},
+		[]KeyCount{{Key: a, Count: 3, Rank: 0}, {Key: b, Count: 3, Rank: 1},
+			{Key: d, Count: 1, Rank: 2}, {Key: c, Count: 1, Rank: 3}},
+		[]int64{3, 3, 1, 1}, 4*24)
+
+	tab.Reset()
+	check("after reset", []int{0, 0}, [][]KeyCount{nil, nil}, nil, nil, 0)
+
+	// Ranks restart at 0 and no count survives the reset.
+	probe(1, c)
+	probe(1, c)
+	check("after reset and replay", []int{0, 1},
+		[][]KeyCount{nil, {{Key: c, Count: 2, Rank: 0}}},
+		[]KeyCount{{Key: c, Count: 2, Rank: 0}},
+		[]int64{2}, 24)
 }
 
 func TestKeyEncodingRoundTrip(t *testing.T) {

@@ -241,6 +241,8 @@ type Analysis struct {
 	gdu *dataflow.GlobalDefUse
 	// writeCache memoizes writesIn per subtree.
 	writeCache map[minic.Stmt]dataflow.SymSet
+	// fnLive memoizes liveAfter's function-wide liveness per function.
+	fnLive map[*minic.FuncDecl]*funcLive
 }
 
 // Analyze enumerates and analyzes every candidate segment of prog.
@@ -257,9 +259,10 @@ func Analyze(prog *minic.Program, pts *pointer.Analysis, cg *callgraph.Graph,
 	}
 	a := &Analysis{
 		Prog: prog, Pts: pts, CG: cg, Eff: eff,
-		Est:  cost.NewStatic(opts.Model, prog),
-		opts: opts,
-		gdu:  eff.BuildGlobalDefUse(),
+		Est:    cost.NewStatic(opts.Model, prog),
+		opts:   opts,
+		gdu:    eff.BuildGlobalDefUse(),
+		fnLive: map[*minic.FuncDecl]*funcLive{},
 	}
 	for _, fn := range prog.Funcs {
 		if fn.Body == nil {
@@ -543,39 +546,58 @@ func escapeKind(body minic.Stmt) string {
 	return kind
 }
 
-// liveAfter computes the externally observable liveness at the segment's
-// exit point.
-func (a *Analysis) liveAfter(s *Segment) dataflow.SymSet {
+// funcLive is the function-wide liveness every segment of one function
+// reads: its CFG, the extern set seeding the exit, and the fixpoint. It is
+// computed once per function; liveAfter only reads it (Clone/AddAll into
+// fresh sets), so the cached sets stay immutable.
+type funcLive struct {
+	g      *cfg.Graph
+	extern dataflow.SymSet
+	live   map[*cfg.Node]*dataflow.LiveSets
+}
+
+// funcLiveness returns fn's cached liveness, computing it on first use.
+func (a *Analysis) funcLiveness(fn *minic.FuncDecl) *funcLive {
+	if fl, ok := a.fnLive[fn]; ok {
+		return fl
+	}
 	// Globals (or escaping locals) read by any other function are live.
 	extern := dataflow.SymSet{}
 	for sym, readers := range a.gdu.UseFns {
 		for _, r := range readers {
-			if r != s.Fn {
+			if r != fn {
 				extern.Add(sym)
 				break
 			}
 		}
 	}
-	// Plus function-local liveness at the segment exit.
-	fnG := cfg.Build(s.Fn)
-	live := a.Eff.Liveness(fnG, extern)
+	g := cfg.Build(fn)
+	fl := &funcLive{g: g, extern: extern, live: a.Eff.Liveness(g, extern)}
+	a.fnLive[fn] = fl
+	return fl
+}
+
+// liveAfter computes the externally observable liveness at the segment's
+// exit point. The returned set is the caller's own.
+func (a *Analysis) liveAfter(s *Segment) dataflow.SymSet {
+	fl := a.funcLiveness(s.Fn)
 	switch s.Kind {
 	case FuncBody:
 		// Exit = function exit: locals are dead, globals per extern.
-		return live[fnG.Exit].Out.Clone()
+		return fl.live[fl.g.Exit].Out.Clone()
 	default:
 		// The live set at the segment's exit is the union of live-in over
 		// the boundary successors: function-CFG nodes outside the segment
 		// subtree reachable by an edge from inside it.
 		inSeg := stmtIDsOf(s.Body)
-		out := extern.Clone()
-		for _, n := range fnG.Nodes {
+		out := fl.extern.Clone()
+		for _, n := range fl.g.Nodes {
 			if !nodeInside(n, inSeg) {
 				continue
 			}
 			for _, succ := range n.Succs {
 				if !nodeInside(succ, inSeg) {
-					out.AddAll(live[succ].In)
+					out.AddAll(fl.live[succ].In)
 				}
 			}
 		}
