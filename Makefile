@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race check bench bench-vm bench-pipeline bench-json bench-gate eval serve eval-serve eval-json fuzz loadgen smoke fleet fleet-smoke trace-smoke
+.PHONY: build vet test race check bench bench-vm bench-pipeline eval serve eval-serve eval-json fuzz loadgen smoke fleet fleet-smoke trace-smoke
 
 build:
 	$(GO) build ./...
@@ -36,18 +36,6 @@ bench-vm:
 bench-pipeline:
 	$(GO) test -run=NONE -bench=BenchmarkCoreRun -benchmem ./internal/core/
 
-# bench-json snapshots the perf trajectory (hot-path ns + allocs/op,
-# loadgen throughput, GET RTT p50/p99 over TCP loopback vs a unix
-# socket) into the committed baseline; schema crcbench-perf/1.
-bench-json:
-	$(GO) run ./cmd/crcbench perfjson -o BENCH_10.json
-
-# bench-gate re-measures and diffs against the committed baseline:
-# allocs/op regressions fail hard, timing regressions warn (CI runs
-# this).
-bench-gate:
-	$(GO) run ./cmd/crcbench perfjson -o bench-perf.json -compare BENCH_10.json
-
 # eval regenerates every table and figure of the paper plus the ablations
 # and the concurrent-runtime sweep.
 eval:
@@ -73,9 +61,11 @@ serve:
 loadgen:
 	$(GO) run ./cmd/crcserve loadgen
 
-# fuzz exercises the wire codec's decoder against corrupt frames.
+# fuzz exercises the wire codec's decoder against corrupt frames and
+# the profile snapshot loader against corrupt JSON.
 fuzz:
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=20s ./internal/wire/
+	$(GO) test -fuzz=FuzzLoadSnapshot -fuzztime=10s ./internal/profile/
 
 # smoke is the CI loadgen smoke test: boot crcserve, drive 2s of real
 # traffic, require nonzero shared hits and a clean SIGTERM drain — all

@@ -23,10 +23,6 @@
 //	                                    # in-process crcserve ring, kill a
 //	                                    # node mid-load, restart it warm
 //	                                    # from its snapshot
-//
-//	crcbench perfjson -o BENCH_6.json            # snapshot the perf trajectory
-//	crcbench perfjson -compare BENCH_6.json      # diff a fresh run against it
-//	                                             # (allocs/op regressions fail)
 package main
 
 import (
@@ -51,13 +47,6 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "fleet" {
 		if _, err := fleetMain(os.Args[2:], os.Stdout, os.Stderr); err != nil && err != flag.ErrHelp {
 			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "perfjson" {
-		if err := perfJSONMain(os.Args[2:], os.Stderr); err != nil && err != flag.ErrHelp {
-			fmt.Fprintf(os.Stderr, "perfjson: %v\n", err)
 			os.Exit(1)
 		}
 		return

@@ -610,15 +610,19 @@ func (t *TieredDepMemo) Do(in *DepInputs, compute func(*Dep) uint64) uint64 {
 			t.statMu.Unlock()
 			return vals[0]
 		}
-		return t.compute(in, compute, err != nil)
+		// Publish only after a clean Miss, as TieredMemo does: after a
+		// Bypass the governor has turned the segment off, and after a
+		// failed GET the tier is not answering.
+		return t.compute(in, compute, err != nil, err == nil && status == Miss)
 	}
 	m.mu.Unlock()
-	return t.compute(in, compute, false)
+	return t.compute(in, compute, false, true)
 }
 
-// compute runs the computation with tracking, records it locally, and
-// publishes it to the remote tier under the canonical dependence key.
-func (t *TieredDepMemo) compute(in *DepInputs, compute func(*Dep) uint64, remoteErr bool) uint64 {
+// compute runs the computation with tracking, records it locally, and,
+// when publish is set, publishes it to the remote tier under the
+// canonical dependence key.
+func (t *TieredDepMemo) compute(in *DepInputs, compute func(*Dep) uint64, remoteErr, publish bool) uint64 {
 	m := t.dm
 	d := m.getDep(in)
 	start := time.Now()
@@ -630,8 +634,10 @@ func (t *TieredDepMemo) compute(in *DepInputs, compute func(*Dep) uint64, remote
 	m.tab.Record(d.path, d.out[:])
 	m.mu.Unlock()
 	m.putDep(d)
-	if err := t.seg.Put(key, []uint64{v}, cost); err != nil {
-		remoteErr = true
+	if publish {
+		if err := t.seg.Put(key, []uint64{v}, cost); err != nil {
+			remoteErr = true
+		}
 	}
 	t.statMu.Lock()
 	t.stats.Computes++

@@ -72,8 +72,8 @@ func TestDepMemoElementKeyZeroAlloc(t *testing.T) {
 	})
 }
 
-// BenchmarkDepMemoHit measures the footprint-trie hit path (tracked in
-// BENCH_10.json; the acceptance gate is 0 allocs/op).
+// BenchmarkDepMemoHit measures the footprint-trie hit path; its 0
+// allocs/op is pinned by TestDepMemoHitZeroAlloc.
 func BenchmarkDepMemoHit(b *testing.B) {
 	m := NewDepMemo(DepConfig{Name: "bench-dep"})
 	f := func(d *Dep) uint64 { return uint64(d.Get(0)) * uint64(d.Get(1)) }

@@ -3,12 +3,14 @@ package compreuse
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"compreuse/internal/obs"
+	"compreuse/internal/reused"
 )
 
 var errRemoteDown = errors.New("remote tier down")
@@ -481,5 +483,128 @@ func TestTieredDepMemoRemoteDown(t *testing.T) {
 	st := tm.Stats()
 	if st.Computes != 4 || st.Errors != 4 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// bypassSpy forwards to a real remote segment, counting the GETs it
+// answers with Bypass and the PUTs the tier issues.
+type bypassSpy struct {
+	remoteCache
+	bypassed, puts atomic.Int64
+}
+
+func (b *bypassSpy) Get(key []byte) ([]uint64, GetStatus, error) {
+	vals, status, err := b.remoteCache.Get(key)
+	if status == Bypass {
+		b.bypassed.Add(1)
+	}
+	return vals, status, err
+}
+
+func (b *bypassSpy) Put(key []byte, vals []uint64, cost time.Duration) error {
+	b.puts.Add(1)
+	return b.remoteCache.Put(key, vals, cost)
+}
+
+// TestTieredDepMemoNoPutAfterFailedGet: a ghost GET that fails publishes
+// nothing either — the tier PUTs only after a clean Miss, as TieredMemo
+// does — and the failure is counted once.
+func TestTieredDepMemoNoPutAfterFailedGet(t *testing.T) {
+	remote := newMemRemote()
+	spy := &bypassSpy{remoteCache: remote}
+	tm := newTieredDepMemo(spy, TieredDepMemoConfig{Name: "get-down", Budget: 2})
+	f := func(d *Dep) uint64 { return uint64(d.Get(0)+1) * 10 }
+	var in DepInputs
+	for i := int64(0); i < 3; i++ { // evicts 0; its ghost stays resident
+		tm.Do(in.Reset().Int(i), f)
+	}
+	remote.mu.Lock()
+	remote.fail = true
+	remote.mu.Unlock()
+	puts := spy.puts.Load()
+	if got := tm.Do(in.Reset().Int(0), f); got != 10 {
+		t.Fatalf("ghost Do(0) = %d, want 10", got)
+	}
+	if n := spy.puts.Load() - puts; n != 0 {
+		t.Fatalf("Do issued %d PUT(s) after a failed GET", n)
+	}
+	if st := tm.Stats(); st.Errors != 1 || st.GhostHits != 0 || st.Computes != 4 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestTieredDepMemoNoPutAfterBypass: a ghost GET answered Bypass means
+// the governor turned the segment off, so Do computes locally and
+// publishes nothing (the contract TieredMemo honours). The segment is
+// driven to BYPASS as TestGovernorBypassesCheapSegment does.
+func TestTieredDepMemoNoPutAfterBypass(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The probation outlasts the test, so the segment stays bypassed.
+	srv := reused.New(reused.Config{Governor: reused.GovernorConfig{Window: 64, Probation: 1 << 20}})
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(ln) }()
+	defer func() { srv.Close(); <-serveDone }()
+	c, err := DialCache(ClientConfig{Addr: ln.Addr().String(), Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	seg, err := c.Segment("dep-bypass", SegmentConfig{OutWords: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A 100ns computation can never pay for a network round trip.
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; ; i++ {
+		if time.Now().After(deadline) {
+			st, _ := seg.Stats()
+			t.Fatalf("governor never bypassed: stats %+v", st)
+		}
+		k := []byte{byte(i % 8)}
+		_, status, err := seg.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status == Bypass {
+			break
+		}
+		if status == Miss {
+			if err := seg.Put(k, []uint64{uint64(i)}, 100*time.Nanosecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	spy := &bypassSpy{remoteCache: seg}
+	tm := newTieredDepMemo(spy, TieredDepMemoConfig{Name: "dep-bypass", Budget: 2})
+	f := func(d *Dep) uint64 { return uint64(d.Get(0)+1) * 10 }
+	var in DepInputs
+	for i := int64(0); i < 3; i++ { // evicts 0; its ghost stays resident
+		tm.Do(in.Reset().Int(i), f)
+	}
+	before, err := seg.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	puts := spy.puts.Load()
+	if got := tm.Do(in.Reset().Int(0), f); got != 10 {
+		t.Fatalf("ghost Do(0) = %d, want 10", got)
+	}
+	if spy.bypassed.Load() != 1 {
+		t.Fatalf("ghost GETs answered Bypass: %d, want 1", spy.bypassed.Load())
+	}
+	if n := spy.puts.Load() - puts; n != 0 {
+		t.Fatalf("Do issued %d PUT(s) after a Bypass answer", n)
+	}
+	after, err := seg.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Records != before.Records || !after.BypassedNow {
+		t.Fatalf("server stats moved: before %+v, after %+v", before, after)
 	}
 }

@@ -257,4 +257,8 @@ func TestSnapshotBadInput(t *testing.T) {
 	if _, err := LoadSnapshot(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "zz") {
 		t.Fatalf("expected hex error naming the key, got %v", err)
 	}
+	null := `{"segments": {"a": null}}`
+	if _, err := LoadSnapshot(strings.NewReader(null)); err == nil || !strings.Contains(err.Error(), `"a"`) {
+		t.Fatalf("expected null-segment error naming the segment, got %v", err)
+	}
 }

@@ -114,14 +114,17 @@ func (s *Snapshot) Profiles() map[string]*SegProfile {
 	out := map[string]*SegProfile{}
 	for name, ss := range s.Segments {
 		sp := &SegProfile{
-			Name:         ss.Name,
-			TableName:    ss.TableName,
-			N:            ss.N,
-			Nds:          ss.Nds,
-			MeasuredC:    ss.MeasuredC,
-			Overhead:     ss.Overhead,
-			KeyBytes:     ss.KeyBytes,
-			AccessCounts: ss.AccessCounts,
+			Name:      ss.Name,
+			TableName: ss.TableName,
+			N:         ss.N,
+			Nds:       ss.Nds,
+			MeasuredC: ss.MeasuredC,
+			Overhead:  ss.Overhead,
+			KeyBytes:  ss.KeyBytes,
+		}
+		// Save omits an empty list, so empty and absent must load alike.
+		if len(ss.AccessCounts) > 0 {
+			sp.AccessCounts = ss.AccessCounts
 		}
 		if len(ss.Census) > 0 {
 			sp.Census = make([]reusetab.KeyCount, len(ss.Census))
@@ -149,6 +152,11 @@ func LoadSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 	if s.Segments == nil {
 		s.Segments = map[string]*SegSnapshot{}
+	}
+	for name, ss := range s.Segments {
+		if ss == nil {
+			return nil, fmt.Errorf("profile snapshot: segment %q is null", name)
+		}
 	}
 	return &s, nil
 }

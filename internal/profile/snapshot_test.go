@@ -66,3 +66,42 @@ func TestSnapshotGolden(t *testing.T) {
 		t.Fatal("profiles did not round-trip")
 	}
 }
+
+// FuzzLoadSnapshot feeds LoadSnapshot arbitrary bytes (a snapshot arrives
+// from outside the program through cmd/crc -profile-in). Input must
+// either fail to load, or load into a snapshot whose Profiles() does not
+// panic and survives a Save → LoadSnapshot round trip unchanged.
+func FuzzLoadSnapshot(f *testing.F) {
+	golden, err := os.ReadFile("testdata/snapshot.golden.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for _, s := range []string{
+		"{not json",
+		"{}",
+		`{"segments": {"x": {"census": [{"key": "zz", "count": 1, "rank": 0}]}}}`,
+		`{"segments": {"a": null}}`,
+		`{"segments": {"a": {"access_counts": []}}}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := LoadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		profs := snap.Profiles()
+		var buf bytes.Buffer
+		if err := snap.Save(&buf); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		back, err := LoadSnapshot(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("saved snapshot does not load: %v\n%s", err, buf.Bytes())
+		}
+		if got := back.Profiles(); !reflect.DeepEqual(got, profs) {
+			t.Fatalf("profiles changed across Save/Load:\n got %+v\nwant %+v", got, profs)
+		}
+	})
+}
