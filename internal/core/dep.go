@@ -7,10 +7,9 @@ import (
 
 	"compreuse/internal/cost"
 	"compreuse/internal/depmemo"
-	"compreuse/internal/interp"
+	"compreuse/internal/minic"
 	"compreuse/internal/profile"
 	"compreuse/internal/segment"
-	"compreuse/internal/transform"
 )
 
 // Dependence-key second chance (Options.DepKeys): segments the flat-key
@@ -72,75 +71,49 @@ func (p *DepSegProfile) DepKeyBytes() int {
 func depCandidates(an *segment.Analysis, model *cost.Model, freq []int64, minFreq int64,
 	selected []*segment.Segment) []*segment.Segment {
 
-	cands := profile.FrequencyFilter(an.DepCandidates(model), freq, minFreq)
-	var keptIDs []map[int]bool
-	for _, s := range selected {
-		keptIDs = append(keptIDs, segIDSet(s))
-	}
-	var out []*segment.Segment
-	for _, s := range cands {
-		ids := segIDSet(s)
-		conflict := false
-		for _, k := range keptIDs {
-			if segsOverlap(ids, k) {
-				conflict = true
-				break
-			}
-		}
-		if conflict {
-			continue
-		}
-		out = append(out, s)
-		keptIDs = append(keptIDs, ids)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out
+	cands, _ := segment.Disjoint(profile.FrequencyFilter(an.DepCandidates(model), freq, minFreq), selected)
+	sort.Slice(cands, func(i, j int) bool { return cands[i].Index < cands[j].Index })
+	return cands
 }
 
-// collectDepProfiles runs the dependence profiling wave: a fresh
-// prepared copy with the candidates wrapped as dep regions over
-// profile-mode footprint tables, executed on the training input.
-func collectDepProfiles(o *Options, model *cost.Model,
+// collectDepProfiles takes the dependence-footprint census of cands in
+// one watched run of prog on the training input: each candidate keys
+// like a dependence-tracked region over a profile-mode footprint trie,
+// and all of them are profiled together.
+func collectDepProfiles(o *Options, model *cost.Model, prog *minic.Program,
 	cands []*segment.Segment) (map[string]*DepSegProfile, error) {
 
 	if len(cands) == 0 {
 		return nil, nil
 	}
-	pd, err := prep(o, model)
-	if err != nil {
-		return nil, err
+	tabs := make([]*depmemo.Table, len(cands))
+	for i, s := range cands {
+		tabs[i] = depmemo.New(depmemo.Config{Name: s.Name, Profile: true})
 	}
-	mapped := mapSegments(pd.an, cands)
-	depNames := map[string]bool{}
-	for _, s := range mapped {
-		depNames[s.Name] = true
-	}
-	tres := transform.Apply(pd.prog, mapped, transform.Options{DepSegs: depNames})
-	depTabs := map[int]*depmemo.Table{}
-	for _, ts := range tres.Tables {
-		depTabs[ts.ID] = depmemo.New(ts.DepConfig(0, true))
-	}
-	ro := o.runOpts(model, false, o.MainArgs)
-	ro.DepTables = depTabs
-	res, err := interp.Run(pd.prog, ro)
+	res, err := execute(prog, o.runOpts(model, false, o.MainArgs), profile.Watches(cands, tabs))
 	if err != nil {
 		return nil, fmt.Errorf("dep profiling run: %w", err)
 	}
 
 	profiles := map[string]*DepSegProfile{}
-	for _, ts := range tres.Tables {
-		s := ts.Segs[0]
-		rr := tres.Regions[s]
-		st := res.Segs[rr.ID()]
-		if st == nil || st.Instances == 0 {
+	for i, s := range cands {
+		st := &res.Watched[i]
+		if st.Err != nil {
+			return nil, fmt.Errorf("dep profiling run: %w", st.Err)
+		}
+		if st.Run.Instances == 0 {
 			continue
 		}
-		tstats := depTabs[ts.ID].Stats()
+		body := st.Run.BodyCycles
+		for _, c := range st.Nested {
+			body += c
+		}
+		tstats := tabs[i].Stats()
 		dp := &DepSegProfile{
 			Segment:       s.Name,
-			N:             st.Instances,
+			N:             st.Run.Instances,
 			Nds:           tstats.Distinct,
-			MeasuredC:     st.MeasuredC(),
+			MeasuredC:     float64(body) / float64(st.Run.BodyRuns),
 			MeanFootprint: tstats.MeanFootprint(),
 			MaxFootprint:  tstats.MaxFootprint,
 			FullOverhead:  s.Overhead,

@@ -85,6 +85,12 @@ type Result struct {
 	Tables map[int]*reusetab.Table
 	// DepTables echoes the footprint tries used by the run.
 	DepTables map[int]*depmemo.Table
+	// Watched holds RunWatched's per-watch statistics, in watch order.
+	Watched []WatchStats
+	// Side and SideOps are the cycles and ops of RunWatched's
+	// instrumentation, which Cycles and Ops exclude.
+	Side    int64
+	SideOps OpCounts
 }
 
 // Seconds returns the modeled wall-clock time of the run.
@@ -110,14 +116,22 @@ type Machine struct {
 	// depWatch heads the chain of active dep-region watchers; nil, the
 	// common case, costs one check per load and store.
 	depWatch *depWatcher
-	funcs    map[*minic.FuncDecl]*function
+	// wt is the in-place profiling state of a watched run (nil otherwise).
+	wt    *watching
+	funcs map[*minic.FuncDecl]*function
 	// escapes marks a function being lowered whose frame may escape.
 	escapes bool
 }
 
 // Run executes the program from main and returns the result. Runtime
 // faults are returned as *RuntimeError.
-func Run(prog *minic.Program, opts Options) (res *Result, err error) {
+func Run(prog *minic.Program, opts Options) (*Result, error) {
+	return RunWatched(prog, opts, nil)
+}
+
+// RunWatched is Run profiling the watched segments in place (see Watch):
+// the result is a plain run's, plus Watched, Side and SideOps.
+func RunWatched(prog *minic.Program, opts Options, watches []*Watch) (res *Result, err error) {
 	mc := &Machine{
 		m:       *cost.O0(),
 		globals: &Seg{data: make([]Value, prog.GlobalWords), name: "globals"},
@@ -139,6 +153,9 @@ func Run(prog *minic.Program, opts Options) (res *Result, err error) {
 	}
 	if opts.CollectFreq {
 		mc.freq = make([]int64, prog.NumNodes)
+	}
+	if len(watches) > 0 {
+		mc.wt = newWatching(watches)
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -163,7 +180,7 @@ func Run(prog *minic.Program, opts Options) (res *Result, err error) {
 		mc.param(f, fr, i, IntVal(a))
 	}
 	ret := mc.enter(f, fr, mainFn.Pos())
-	return &Result{
+	res = &Result{
 		Ret:       ret.ival(),
 		Cycles:    mc.cycles,
 		Output:    mc.out.String(),
@@ -172,7 +189,11 @@ func Run(prog *minic.Program, opts Options) (res *Result, err error) {
 		Segs:      mc.segs,
 		Tables:    mc.tables,
 		DepTables: mc.depTabs,
-	}, nil
+	}
+	if mc.wt != nil {
+		res.Watched, res.Side, res.SideOps = mc.wt.results(), mc.wt.side, mc.wt.ops
+	}
+	return res, nil
 }
 
 // initGlobals zero-fills global storage and evaluates initializers in

@@ -411,6 +411,24 @@ func (p *Program) NewIdent(sym *Symbol) *Ident {
 	return e
 }
 
+// Ref returns a typed expression naming sym, or sym[elem] when elem is
+// non-nil, that stays outside the program: it takes no node id (its ID
+// is -1) and shares elem. An evaluator reads a location through it
+// without growing the id space that sizes the frequency profile.
+func Ref(sym *Symbol, elem Expr) Expr {
+	id := &Ident{Name: sym.Name, Sym: sym}
+	id.id, id.typ = -1, sym.Type
+	if elem == nil {
+		return id
+	}
+	e := &Index{X: id, Idx: elem}
+	e.id = -1
+	if el := ElemOf(sym.Type); el != nil {
+		e.typ = el
+	}
+	return e
+}
+
 // NewIntLit returns a typed integer literal.
 func (p *Program) NewIntLit(v int64) *IntLit {
 	e := &IntLit{Val: v}

@@ -737,3 +737,51 @@ func canonicalOrder(syms []*minic.Symbol) []*minic.Symbol {
 	})
 	return out
 }
+
+// Disjoint greedily splits segs, in order, into the segments sharing no
+// AST node with any of taken or with an earlier kept segment, and the
+// rest. Overlapping segments (sub-block runs, or a run and the body
+// around it) cannot be wrapped in the same transformation.
+func Disjoint(segs, taken []*Segment) (kept, rest []*Segment) {
+	var sets []map[int]bool
+	for _, s := range taken {
+		sets = append(sets, nodeIDs(s))
+	}
+	for _, s := range segs {
+		ids := nodeIDs(s)
+		if overlapsAny(ids, sets) {
+			rest = append(rest, s)
+			continue
+		}
+		kept = append(kept, s)
+		sets = append(sets, ids)
+	}
+	return kept, rest
+}
+
+// nodeIDs returns the node ids of a segment's original statements.
+func nodeIDs(s *Segment) map[int]bool {
+	ids := map[int]bool{}
+	minic.Inspect(s.Body, func(n minic.Node) bool {
+		if x, ok := n.(interface{ ID() int }); ok {
+			ids[x.ID()] = true
+		}
+		return true
+	})
+	return ids
+}
+
+func overlapsAny(ids map[int]bool, sets []map[int]bool) bool {
+	for _, set := range sets {
+		a, b := ids, set
+		if len(b) < len(a) {
+			a, b = b, a
+		}
+		for id := range a {
+			if b[id] {
+				return true
+			}
+		}
+	}
+	return false
+}
