@@ -61,11 +61,13 @@ serve:
 loadgen:
 	$(GO) run ./cmd/crcserve loadgen
 
-# fuzz exercises the wire codec's decoder against corrupt frames and
-# the profile snapshot loader against corrupt JSON.
+# fuzz exercises the wire codec's decoder against corrupt frames, the
+# profile snapshot loader against corrupt JSON and the crcserve snapshot
+# restore against corrupt dumps.
 fuzz:
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=20s ./internal/wire/
 	$(GO) test -fuzz=FuzzLoadSnapshot -fuzztime=10s ./internal/profile/
+	$(GO) test -fuzz=FuzzReadSnapshot -fuzztime=10s ./internal/reused/
 
 # smoke is the CI loadgen smoke test: boot crcserve, drive 2s of real
 # traffic, require nonzero shared hits and a clean SIGTERM drain — all
