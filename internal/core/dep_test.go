@@ -100,15 +100,7 @@ func TestDepKeysAdmitsPreFilterReject(t *testing.T) {
 		t.Fatalf("footprint reuse rate %.3f, want > 0.9", dp.ReuseRate())
 	}
 	// The final run must have used a footprint trie profitably.
-	var dep *TableInfo
-	for i := range rep.Tables {
-		if rep.Tables[i].Dep {
-			dep = &rep.Tables[i]
-		}
-	}
-	if dep == nil {
-		t.Fatal("no dep table in the final run")
-	}
+	dep := depTable(t, rep.Tables)
 	if dep.Stats.Hits == 0 || dep.Stats.Probes == 0 {
 		t.Fatalf("dep table stats: %+v", dep.Stats)
 	}
@@ -141,4 +133,51 @@ func TestDepKeysNoCandidatesIsIdentical(t *testing.T) {
 	if off.Reuse.Cycles != on.Reuse.Cycles {
 		t.Fatalf("cycles differ: %d vs %d", off.Reuse.Cycles, on.Reuse.Cycles)
 	}
+}
+
+// A sweep re-measures the program the compile transformed, footprint
+// tries included: at the profiling-derived sizes it reproduces the
+// compile's own measurement run, and a forced size reaches the tries.
+func TestRunSweepWithDepKeys(t *testing.T) {
+	rep, outs, err := RunSweep(Options{Name: "depmini", Source: depMini, DepKeys: true},
+		[]SweepPoint{{}, {Entries: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := depRecord(t, rep); !rec.Accepted {
+		t.Fatalf("dep second chance did not admit lookup: %+v", rec)
+	}
+	if len(outs) != 2 {
+		t.Fatalf("%d outcomes, want 2", len(outs))
+	}
+	if outs[0].Reuse != rep.Reuse {
+		t.Fatalf("optimal-size sweep point measured %+v, compile measured %+v", outs[0].Reuse, rep.Reuse)
+	}
+	want := depTable(t, rep.Tables).Entries
+	for _, out := range outs {
+		if out.Reuse.Ret != rep.Baseline.Ret {
+			t.Fatalf("point %+v: ret %d, baseline %d", out.Point, out.Reuse.Ret, rep.Baseline.Ret)
+		}
+		dep := depTable(t, out.Tables)
+		if dep.Stats.Hits == 0 {
+			t.Fatalf("point %+v: dep table served no hits: %+v", out.Point, dep)
+		}
+		if out.Point.Entries > 0 {
+			want = out.Point.Entries
+		}
+		if dep.Entries != want {
+			t.Fatalf("point %+v: dep table has %d entries, want %d", out.Point, dep.Entries, want)
+		}
+	}
+}
+
+func depTable(t *testing.T, tables []TableInfo) *TableInfo {
+	t.Helper()
+	for i := range tables {
+		if tables[i].Dep {
+			return &tables[i]
+		}
+	}
+	t.Fatalf("no dep table in %+v", tables)
+	return nil
 }
