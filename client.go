@@ -215,7 +215,9 @@ func (c *Client) call(req *wire.Frame) (wire.Frame, error) {
 // server. The first client to register a name fixes the geometry;
 // later registrations share the existing table as-is.
 type SegmentConfig struct {
-	// Entries bounds the server-side table (0 = unbounded).
+	// Entries bounds the server-side table (0 = unbounded). A server
+	// preallocates bounded tables and refuses a new segment whose
+	// entries would take the total of all its segments past 2^20.
 	Entries int
 	// LRU selects associative LRU replacement over direct addressing.
 	LRU bool

@@ -34,8 +34,11 @@ type Op uint8
 // Frame operations.
 const (
 	// OpHello registers (or looks up) a named segment on the server.
-	// Name carries the segment name; Vals carries [entries, lru] — the
-	// requested table bound (0 = unbounded) and replacement policy.
+	// Name carries the segment name; Vals carries [entries, lru,
+	// outWords] — the requested table bound (0 = unbounded),
+	// replacement policy and output width. A server preallocates a
+	// bounded table and refuses a new segment whose entries would take
+	// the total of all its segments past 2^20 (internal/reused).
 	// The response's Seg is the server-assigned segment id.
 	OpHello Op = iota + 1
 	// OpGet probes the segment's reuse table with Key. Cost carries the
