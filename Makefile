@@ -80,7 +80,7 @@ smoke:
 # at /traces, and the integration test must see every tier's span — all
 # under the race detector.
 trace-smoke:
-	$(GO) test -race -count=1 -run 'TestTraceSmoke|TestTraceStitchesAcrossTiers' -v . ./cmd/crcserve/
+	$(GO) test -race -count=1 -run 'TestTraceSmoke|TestTraceStitchesAcrossTiers|TestTraceStitchesTieredDepMemo' -v . ./cmd/crcserve/
 
 # fleet runs the distributed-tier demo: a 3-node in-process crcserve
 # ring, replicated PUTs, a mid-run node kill, and a warm restart from
@@ -89,7 +89,7 @@ fleet:
 	$(GO) run ./cmd/crcbench fleet
 
 # fleet-smoke is the CI failover smoke: kill-one-node with zero failed
-# Do calls, ring-balance regression, snapshot round-trips — all under
-# the race detector.
+# Do calls, single-node restart recovery, redial-after-close, ring
+# balance, snapshot round-trips — all under the race detector.
 fleet-smoke:
-	$(GO) test -race -count=1 -run 'TestPoolFailover|TestRingBalance|TestFleetDemo|TestSnapshot|TestShutdownWritesFinalSnapshot' -v . ./cmd/crcbench/ ./internal/reused/
+	$(GO) test -race -count=1 -run 'TestRingFailover|TestRingOfOne|TestRingOfOneRecoversAfterRestart|TestRedialAfterCloseLeaksNoClient|TestRingBalance|TestFleetDemo|TestSnapshot|TestShutdownWritesFinalSnapshot' -v . ./cmd/crcbench/ ./internal/reused/

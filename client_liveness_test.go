@@ -90,16 +90,12 @@ func TestTeardownNoDeadlock(t *testing.T) {
 // the singleflight leader path.
 type fakeRemote struct{ puts atomic.Int64 }
 
-func (f *fakeRemote) Get(key []byte) ([]uint64, GetStatus, error) { return nil, Miss, nil }
 func (f *fakeRemote) GetTraced(key []byte, _ obs.TraceCtx) ([]uint64, GetStatus, error) {
-	return f.Get(key)
-}
-func (f *fakeRemote) Put(key []byte, vals []uint64, cost time.Duration) error {
-	f.puts.Add(1)
-	return nil
+	return nil, Miss, nil
 }
 func (f *fakeRemote) PutTraced(key []byte, vals []uint64, cost time.Duration, _ obs.TraceCtx) error {
-	return f.Put(key, vals, cost)
+	f.puts.Add(1)
+	return nil
 }
 func (f *fakeRemote) Stats() (RemoteStats, error) { return RemoteStats{}, nil }
 func (f *fakeRemote) Flush() error                { return nil }
@@ -171,7 +167,7 @@ func TestTieredPanicPropagatesAndFollowersRetry(t *testing.T) {
 // race the race detector flags); the fix is a CAS loop, which this
 // exercises under -race.
 func TestObserveRTTConcurrent(t *testing.T) {
-	var c Client
+	var c nodeClient
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -183,7 +179,7 @@ func TestObserveRTTConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.RTT() <= 0 {
-		t.Fatalf("RTT = %v after 8000 observations, want > 0", c.RTT())
+	if c.rtt() <= 0 {
+		t.Fatalf("RTT = %v after 8000 observations, want > 0", c.rtt())
 	}
 }

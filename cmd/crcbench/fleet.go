@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,7 +22,7 @@ import (
 
 // crcbench fleet is the distributed-tier demo: it boots an in-process
 // crcserve fleet (each node with a warm-snapshot file), drives it
-// through a Pool-backed TieredMemo from many workers, kills one node
+// through a TieredMemo over a multi-node Client from many workers, kills one node
 // mid-run, and restarts it from its drain-time snapshot — then reports
 // what the paper's economics look like when the reuse table is a
 // consistent-hash ring instead of a single process: per-node hit
@@ -78,7 +79,7 @@ type fleetReport struct {
 	Nodes, Replicas, Workers int
 	Elapsed                  time.Duration
 	Tiered                   compreuse.TieredStats
-	NodeStats                []compreuse.PoolNodeStats
+	NodeStats                []compreuse.NodeStats
 	ReplicaDrops             int64
 	VictimAddr               string
 	// WarmStats is the victim's segment statistics read right after its
@@ -202,18 +203,18 @@ func fleetMain(args []string, out, logw io.Writer) (fleetReport, error) {
 		addrs[i] = n.addr
 	}
 
-	pool, err := compreuse.DialPool(compreuse.PoolConfig{
-		Addrs:       addrs,
+	client, err := compreuse.DialCache(compreuse.ClientConfig{
+		Addr:        strings.Join(addrs, ","),
 		Replicas:    *replicas,
 		RedialEvery: 50 * time.Millisecond,
 	})
 	if err != nil {
 		return fleetReport{}, err
 	}
-	defer pool.Close()
+	defer client.Close()
 
 	const segName = "fleetdemo"
-	tm, err := compreuse.NewTieredMemoFleet(pool, compreuse.TieredMemoConfig{
+	tm, err := compreuse.NewTieredMemo(client, compreuse.TieredMemoConfig{
 		Name: segName,
 		// A tiny LRU L1 keeps the local tier honest while forcing most
 		// hits across the wire, where the ring is.
@@ -222,7 +223,7 @@ func fleetMain(args []string, out, logw io.Writer) (fleetReport, error) {
 	if err != nil {
 		return fleetReport{}, err
 	}
-	pseg, err := pool.Segment(segName, compreuse.SegmentConfig{OutWords: 1})
+	seg, err := client.Segment(segName, compreuse.SegmentConfig{OutWords: 1})
 	if err != nil {
 		return fleetReport{}, err
 	}
@@ -256,7 +257,7 @@ func fleetMain(args []string, out, logw io.Writer) (fleetReport, error) {
 	if *kill && *nodes > 1 {
 		// Kill the victim at 40% of the run — gracefully, so its final
 		// snapshot carries everything it acknowledged — and restart it at
-		// 70% from that snapshot, on the same address so the pool's
+		// 70% from that snapshot, on the same address so the client's
 		// redial loop finds it.
 		victim := fleet[*nodes-1]
 		rep.VictimAddr = victim.addr
@@ -284,7 +285,7 @@ func fleetMain(args []string, out, logw io.Writer) (fleetReport, error) {
 		rep.WarmEntries = reborn.warmEntries
 
 		// Interrogate the reborn node over a dedicated client before the
-		// pool (or anyone) PUTs to it: restored statistics are the proof
+		// ring (or anyone) PUTs to it: restored statistics are the proof
 		// of warmth.
 		probe, err := compreuse.DialCache(compreuse.ClientConfig{Addr: reborn.addr, Conns: 1})
 		if err == nil {
@@ -302,8 +303,8 @@ func fleetMain(args []string, out, logw io.Writer) (fleetReport, error) {
 	wg.Wait()
 	rep.Elapsed = time.Since(start)
 	rep.Tiered = tm.Stats()
-	rep.NodeStats = pseg.NodeStats()
-	rep.ReplicaDrops = pseg.ReplicaDrops()
+	rep.NodeStats = seg.NodeStats()
+	rep.ReplicaDrops = seg.ReplicaDrops()
 	if *trace > 0 {
 		bd := obs.Summarize(append(preSpans, obs.TraceSpans()...))
 		rep.breakdown = &bd

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"compreuse/internal/depmemo"
+	"compreuse/internal/obs"
 )
 
 // DepMemo is a dependence-tracked selective memoizer (Acar–Blelloch–
@@ -51,6 +52,10 @@ type DepMemo struct {
 	hits  int64
 
 	depPool sync.Pool
+
+	// tier is the TieredDepMemo layered over this memo (nil for a plain
+	// DepMemo); a leader's miss runs through its remote tier.
+	tier *TieredDepMemo
 }
 
 // DepConfig configures a DepMemo.
@@ -99,19 +104,26 @@ func (s DepStats) HitRatio() float64 {
 	return float64(s.Hits) / float64(s.Calls)
 }
 
-// depCall is one in-flight compute; the leader closes done after
-// recording. Followers re-probe rather than adopt a value, so a flight-
-// key collision can cost a duplicate compute but never a wrong result.
+// depCall is one in-flight compute; the leader retires it (see retire)
+// once its result is in the trie. Followers re-probe rather than adopt a
+// value, so a flight-key collision can cost a duplicate compute but
+// never a wrong result.
 type depCall struct {
-	done chan struct{}
+	done    chan struct{}
+	fk      uint64
+	retired bool // set under the memo's lock
 }
 
 // NewDepMemo builds a DepMemo.
-func NewDepMemo(cfg DepConfig) *DepMemo {
+func NewDepMemo(cfg DepConfig) *DepMemo { return newDepMemo(cfg, false) }
+
+// newDepMemo builds a DepMemo whose trie keeps evicted results' keys as
+// ghosts when ghosts is set — the keys a TieredDepMemo asks L2 for.
+func newDepMemo(cfg DepConfig, ghosts bool) *DepMemo {
 	m := &DepMemo{
 		cfg:  cfg,
 		seed: maphash.MakeSeed(),
-		tab:  depmemo.New(depmemo.Config{Name: cfg.Name, Entries: cfg.Budget}),
+		tab:  depmemo.New(depmemo.Config{Name: cfg.Name, Entries: cfg.Budget, Ghosts: ghosts}),
 		sf:   map[uint64]*depCall{},
 	}
 	m.fetch.m = m
@@ -370,6 +382,16 @@ func (m *DepMemo) putDep(d *Dep) {
 // in, running compute on a miss. compute must be deterministic over its
 // tracked reads; see the type comment.
 func (m *DepMemo) Do(in *DepInputs, compute func(*Dep) uint64) uint64 {
+	v, _ := m.do(in, compute, nil)
+	return v
+}
+
+// do is the flight loop behind both DepMemo.Do and TieredDepMemo.Do. A
+// call probes the trie; on a miss it joins the in-flight compute of the
+// same inputs and re-probes, or leads its own. hit reports a call served
+// from the trie, directly or after another caller's flight. root is the
+// TieredDepMemo request's span (nil for a plain DepMemo).
+func (m *DepMemo) do(in *DepInputs, compute func(*Dep) uint64, root *obs.Span) (v uint64, hit bool) {
 	waited := false
 	for {
 		m.mu.Lock()
@@ -383,69 +405,85 @@ func (m *DepMemo) Do(in *DepInputs, compute func(*Dep) uint64) uint64 {
 			m.hits++
 			v := r.Outs[0]
 			m.mu.Unlock()
-			return v
+			return v, true
 		}
-		if waited {
-			// Already joined one flight and still missing: compute
-			// directly — flight keys are hashes, and a duplicate
-			// compute is cheaper than a wrong adoption or a livelock.
-			m.mu.Unlock()
-			return m.computeDirect(in, compute)
+		var c *depCall
+		if !waited {
+			fk := m.flightKey(in)
+			if prior, ok := m.sf[fk]; ok {
+				// Join the in-flight compute, then re-probe: if the
+				// leader's inputs were ours, its record is our hit.
+				m.mu.Unlock()
+				<-prior.done
+				waited = true
+				continue
+			}
+			c = &depCall{done: make(chan struct{}), fk: fk}
+			m.sf[fk] = c
 		}
-		fk := m.flightKey(in)
-		if c, ok := m.sf[fk]; ok {
-			// Join the in-flight compute, then re-probe: if the
-			// leader's inputs were ours, its record is our hit.
-			m.mu.Unlock()
-			<-c.done
-			waited = true
-			continue
+		// A caller that already joined one flight and still misses
+		// takes the miss path without a flight of its own: flight keys
+		// are hashes, and a duplicate compute is cheaper than a wrong
+		// adoption or a livelock.
+		if r.Ghost {
+			// The key aliases trie storage; copy it out before dropping
+			// the lock for the round trip. The copy must be per-call — a
+			// concurrent ghost probe would clobber a shared scratch
+			// while the remote GET still reads it — and the path is
+			// already paying a round trip.
+			r.Key = append([]byte(nil), r.Key...)
 		}
-		c := &depCall{done: make(chan struct{})}
-		m.sf[fk] = c
 		m.mu.Unlock()
-		return m.lead(in, compute, fk, c)
+		return m.miss(in, compute, r, c, root), false
 	}
 }
 
-// lead runs compute as the flight leader, records the footprint, and
-// releases followers. A panic in compute still releases them (they
-// retry or compute themselves) and propagates.
-func (m *DepMemo) lead(in *DepInputs, compute func(*Dep) uint64, fk uint64, c *depCall) uint64 {
+// miss is a call's slow path once the trie has missed: compute with
+// tracking and record, or — for a TieredDepMemo — its remote tier's
+// ghost refill and publish around that. c is the caller's flight (nil
+// when it already waited one out); a panic in the path still retires it
+// (its followers retry or compute themselves) and propagates.
+func (m *DepMemo) miss(in *DepInputs, compute func(*Dep) uint64, r depmemo.Result, c *depCall, root *obs.Span) uint64 {
+	if c != nil {
+		defer func() {
+			if !c.retired {
+				m.mu.Lock()
+				m.retire(c)
+				m.mu.Unlock()
+			}
+		}()
+	}
+	if m.tier != nil {
+		return m.tier.miss(in, compute, r, c, root)
+	}
 	d := m.getDep(in)
-	normal := false
-	defer func() {
-		if !normal {
-			m.mu.Lock()
-			delete(m.sf, fk)
-			m.mu.Unlock()
-			close(c.done)
-			m.putDep(d)
-		}
-	}()
 	v := compute(d)
-	normal = true
-	d.out[0] = v
-	m.mu.Lock()
-	m.tab.Record(d.path, d.out[:])
-	delete(m.sf, fk)
-	m.mu.Unlock()
-	close(c.done)
+	m.land(d, v, c)
 	m.putDep(d)
 	return v
 }
 
-// computeDirect runs compute with tracking and records, without
-// registering a flight.
-func (m *DepMemo) computeDirect(in *DepInputs, compute func(*Dep) uint64) uint64 {
-	d := m.getDep(in)
-	defer m.putDep(d)
-	v := compute(d)
+// land records a computed result and retires the caller's flight c (nil
+// when it has none) in one critical section, so a follower woken by the
+// flight re-probes into the record.
+func (m *DepMemo) land(d *Dep, v uint64, c *depCall) {
 	d.out[0] = v
 	m.mu.Lock()
 	m.tab.Record(d.path, d.out[:])
+	m.retire(c)
 	m.mu.Unlock()
-	return v
+}
+
+// retire removes flight c and wakes its followers; m.mu is held. Only
+// the flight's leader retires it, so the leader may read c.retired
+// without the lock.
+func (m *DepMemo) retire(c *depCall) {
+	if c == nil || c.retired {
+		return
+	}
+	c.retired = true
+	delete(m.sf, c.fk)
+	close(c.done)
 }
 
 // Stats returns a consistent snapshot of the memo's counters.
@@ -493,17 +531,23 @@ type TieredDepMemoConfig struct {
 }
 
 // TieredDepStats counts where a TieredDepMemo's calls were served from.
+// Calls == L1Hits + GhostHits + Computes.
 type TieredDepStats struct {
 	Calls int64
-	// L1Hits were served from the local footprint trie.
+	// L1Hits were served from the local footprint trie, including
+	// callers that waited out another caller's compute of the same
+	// inputs.
 	L1Hits int64
 	// GhostHits matched an evicted result's retained key and refilled
 	// it from the remote tier — the probe proved which result was
 	// needed without recomputing it.
 	GhostHits int64
-	// Computes ran the computation (fresh footprint, remote miss, or
-	// remote error).
+	// Computes ran the computation (fresh footprint, remote miss,
+	// bypass, or remote error).
 	Computes int64
+	// Bypassed is the subset of Computes whose ghost GET the governor
+	// answered with BYPASS.
+	Bypassed int64
 	// Errors is the subset of Computes taken because the remote tier
 	// failed.
 	Errors int64
@@ -524,31 +568,21 @@ type TieredDepStats struct {
 // evictions from recomputations into round trips — not a cold-start
 // accelerator. It degrades gracefully: on remote errors Do computes
 // locally and never fails.
+//
+// Do runs through DepMemo's flight loop, so concurrent misses of one
+// input set cost one ghost GET and at most one compute, and it keeps
+// TieredMemo's conventions: atomic counters, a "tiered_dep.do" root
+// span over the traced GET and PUT, and a Reset that drops both tiers.
 type TieredDepMemo struct {
-	dm  *DepMemo
-	seg remoteCache
-
-	statMu sync.Mutex
-	stats  TieredDepStats
+	dm    *DepMemo
+	seg   remoteCache
+	stats tierCounters
 }
 
-// NewTieredDepMemo builds a TieredDepMemo over one server connection.
+// NewTieredDepMemo registers the segment on the client's nodes and
+// builds the tiered memo.
 func NewTieredDepMemo(c *Client, cfg TieredDepMemoConfig) (*TieredDepMemo, error) {
-	rc := cfg.Remote
-	rc.OutWords = 1
-	seg, err := c.Segment(cfg.Name, rc)
-	if err != nil {
-		return nil, err
-	}
-	return newTieredDepMemo(seg, cfg), nil
-}
-
-// NewTieredDepMemoFleet builds a TieredDepMemo over a consistent-hash
-// fleet.
-func NewTieredDepMemoFleet(p *Pool, cfg TieredDepMemoConfig) (*TieredDepMemo, error) {
-	rc := cfg.Remote
-	rc.OutWords = 1
-	seg, err := p.Segment(cfg.Name, rc)
+	seg, err := remoteSegment(c, cfg.Name, cfg.Remote)
 	if err != nil {
 		return nil, err
 	}
@@ -560,110 +594,92 @@ func newTieredDepMemo(seg remoteCache, cfg TieredDepMemoConfig) *TieredDepMemo {
 	if budget <= 0 {
 		budget = 4096
 	}
-	dm := &DepMemo{
-		cfg:  DepConfig{Name: cfg.Name, Budget: budget, FloatTolerance: cfg.FloatTolerance},
-		seed: maphash.MakeSeed(),
-		tab:  depmemo.New(depmemo.Config{Name: cfg.Name, Entries: budget, Ghosts: true}),
-		sf:   map[uint64]*depCall{},
-	}
-	dm.fetch.m = dm
-	dm.depPool.New = func() any { return &Dep{m: dm, seen: map[depmemo.Loc]struct{}{}} }
-	return &TieredDepMemo{dm: dm, seg: seg}
+	t := &TieredDepMemo{seg: seg}
+	t.dm = newDepMemo(DepConfig{Name: cfg.Name, Budget: budget, FloatTolerance: cfg.FloatTolerance}, true)
+	t.dm.tier = t
+	return t
 }
 
 // Do returns the memoized result for the footprint compute reads out of
 // in: local trie first, then — when the probe matches an evicted
 // result's ghost — the remote tier by dependence key, then compute.
 func (t *TieredDepMemo) Do(in *DepInputs, compute func(*Dep) uint64) uint64 {
-	t.statMu.Lock()
-	t.stats.Calls++
-	t.statMu.Unlock()
-
-	m := t.dm
-	m.mu.Lock()
-	m.fetch.in = in
-	r := m.tab.Probe(&m.fetch)
-	m.fetch.in = nil
-	if r.Hit {
-		v := r.Outs[0]
-		m.mu.Unlock()
-		t.statMu.Lock()
-		t.stats.L1Hits++
-		t.statMu.Unlock()
-		return v
+	// With tracing disabled the root is one atomic load and an inert
+	// zero Span: the trie-hit path stays 0 allocs/op (pinned by
+	// TestTieredDepMemoTrieHitZeroAlloc).
+	root := obs.StartRoot("tiered_dep.do")
+	t.stats[tsCalls].Add(1)
+	v, hit := t.dm.do(in, compute, &root)
+	if hit {
+		t.stats[tsL1Hits].Add(1)
+		root.Outcome("l1_hit")
 	}
-	if r.Ghost {
-		// The key aliases trie storage; copy it out before dropping the
-		// lock for the round trip. The copy must be per-call — a shared
-		// scratch would be clobbered by a concurrent ghost probe while
-		// the remote Get is still reading it — and the path is already
-		// paying a round trip, so the allocation is immaterial.
-		key := append([]byte(nil), r.Key...)
-		m.mu.Unlock()
-		vals, status, err := t.seg.Get(key)
-		if err == nil && status == Hit && len(vals) == 1 {
-			m.mu.Lock()
-			m.tab.Refill(r, key, vals)
-			m.mu.Unlock()
-			t.statMu.Lock()
-			t.stats.GhostHits++
-			t.statMu.Unlock()
-			return vals[0]
-		}
-		// Publish only after a clean Miss, as TieredMemo does: after a
-		// Bypass the governor has turned the segment off, and after a
-		// failed GET the tier is not answering.
-		return t.compute(in, compute, err != nil, err == nil && status == Miss)
-	}
-	m.mu.Unlock()
-	return t.compute(in, compute, false, true)
+	root.End()
+	return v
 }
 
-// compute runs the computation with tracking, records it locally, and,
-// when publish is set, publishes it to the remote tier under the
-// canonical dependence key.
-func (t *TieredDepMemo) compute(in *DepInputs, compute func(*Dep) uint64, remoteErr, publish bool) uint64 {
+// miss is the flight leader's slow path (see DepMemo.miss): a ghost's
+// key asks L2 first and a hit refills the trie; otherwise the compute
+// runs, records, and publishes under the canonical dependence key —
+// after a clean Miss, or when no GET was made. The PUT follows the
+// flight's retirement, so followers do not wait on it.
+func (t *TieredDepMemo) miss(in *DepInputs, compute func(*Dep) uint64, r depmemo.Result, c *depCall, root *obs.Span) uint64 {
 	m := t.dm
+	publish := true
+	if r.Ghost {
+		vals, status, err := t.seg.GetTraced(r.Key, root.Context())
+		var hit bool
+		if hit, publish = t.stats.l2Answer(vals, status, err, root); hit {
+			m.mu.Lock()
+			m.tab.Refill(r, r.Key, vals[:1])
+			m.retire(c)
+			m.mu.Unlock()
+			return vals[0]
+		}
+	} else {
+		root.Outcome("compute")
+	}
+
+	t.stats[tsComputes].Add(1)
 	d := m.getDep(in)
+	csp := obs.StartSpan(root.Context(), "compute")
 	start := time.Now()
 	v := compute(d)
 	cost := time.Since(start)
-	d.out[0] = v
-	key := depmemo.EncodeSteps(nil, d.path)
-	m.mu.Lock()
-	m.tab.Record(d.path, d.out[:])
-	m.mu.Unlock()
+	csp.End()
+	var key []byte
+	if publish {
+		key = depmemo.EncodeSteps(nil, d.path)
+	}
+	m.land(d, v, c)
 	m.putDep(d)
 	if publish {
-		if err := t.seg.Put(key, []uint64{v}, cost); err != nil {
-			remoteErr = true
-		}
+		t.stats.publish(t.seg, key, v, cost, root)
 	}
-	t.statMu.Lock()
-	t.stats.Computes++
-	if remoteErr {
-		t.stats.Errors++
-	}
-	t.statMu.Unlock()
 	return v
 }
 
 // Stats returns a snapshot of the tier counters.
 func (t *TieredDepMemo) Stats() TieredDepStats {
-	t.statMu.Lock()
-	defer t.statMu.Unlock()
-	return t.stats
+	return TieredDepStats{
+		Calls:     t.stats[tsCalls].Load(),
+		L1Hits:    t.stats[tsL1Hits].Load(),
+		GhostHits: t.stats[tsL2Hits].Load(),
+		Computes:  t.stats[tsComputes].Load(),
+		Bypassed:  t.stats[tsBypassed].Load(),
+		Errors:    t.stats[tsErrors].Load(),
+	}
 }
 
 // Local returns the local DepMemo's stats (footprints, evictions,
 // residency).
 func (t *TieredDepMemo) Local() DepStats { return t.dm.Stats() }
 
-// Reset drops the local tier (PR 4 convention); the shared remote table
-// is left to its owner (use the segment's Flush for that).
-func (t *TieredDepMemo) Reset() {
+// Reset drops both tiers, as TieredMemo.Reset does: the local trie and
+// counters are cleared and the server-side segment is flushed (which
+// also readmits it).
+func (t *TieredDepMemo) Reset() error {
 	t.dm.Reset()
-	t.statMu.Lock()
-	t.stats = TieredDepStats{}
-	t.statMu.Unlock()
+	t.stats.reset()
+	return t.seg.Flush()
 }

@@ -105,3 +105,23 @@ func BenchmarkDepMemoSliceHit(b *testing.B) {
 		m.Do(in.Reset().Bytes(big), f)
 	}
 }
+
+// TestTieredDepMemoTrieHitZeroAlloc pins TieredDepMemo's trie-hit path:
+// the root span, the counters and DepMemo's flight loop allocate nothing
+// when the local trie serves the call.
+func TestTieredDepMemoTrieHitZeroAlloc(t *testing.T) {
+	tm := newTieredDepMemo(newMemRemote(), TieredDepMemoConfig{Name: "alloc-tiered-dep", Budget: 128})
+	f := func(d *Dep) uint64 { return uint64(d.Get(0)) * uint64(d.Get(1)) }
+	var in DepInputs
+	for i := int64(0); i < 64; i++ {
+		tm.Do(in.Reset().Int(i).Int(i+1), f)
+	}
+	i := int64(0)
+	assertZeroAllocs(t, "tiered-dep/trie-hit", func() {
+		k := i & 63
+		if got := tm.Do(in.Reset().Int(k).Int(k+1), f); got != uint64(k)*uint64(k+1) {
+			t.Fatalf("Do(%d) = %d", k, got)
+		}
+		i++
+	})
+}

@@ -54,7 +54,7 @@ type TieredStats struct {
 type TieredMemo struct {
 	l1    *MemoTable
 	seg   remoteCache
-	stats [6]atomic.Int64 // mirrors TieredStats field order
+	stats tierCounters
 
 	// sf deduplicates concurrent misses on one key: the first caller
 	// (the leader) does the remote GET and, on a fleet-wide miss, the
@@ -64,14 +64,12 @@ type TieredMemo struct {
 	sf   map[string]*tieredCall
 }
 
-// remoteCache is the L2 surface TieredMemo drives: a single crcserve
-// segment (RemoteSegment) or a consistent-hash fleet of them
-// (PoolSegment). Both degrade to errors rather than blocking, which is
-// all Do's never-fails contract needs.
+// remoteCache is the L2 surface the tiered memos drive: a
+// RemoteSegment, or a test double. It degrades to errors rather than
+// blocking, which is all Do's never-fails contract needs. GET and PUT
+// each have one method, so a double sees every call of either kind.
 type remoteCache interface {
-	Get(key []byte) ([]uint64, GetStatus, error)
 	GetTraced(key []byte, tr obs.TraceCtx) ([]uint64, GetStatus, error)
-	Put(key []byte, vals []uint64, cost time.Duration) error
 	PutTraced(key []byte, vals []uint64, cost time.Duration, tr obs.TraceCtx) error
 	Stats() (RemoteStats, error)
 	Flush() error
@@ -87,6 +85,11 @@ type tieredCall struct {
 	ok   bool
 }
 
+// tierCounters are a tiered memo's where-served counters, in TieredStats
+// field order; TieredDepMemo keeps the same block, its ghost refills in
+// the L2 slot.
+type tierCounters [6]atomic.Int64
+
 const (
 	tsCalls = iota
 	tsL1Hits
@@ -96,27 +99,51 @@ const (
 	tsErrors
 )
 
-// NewTieredMemo registers the segment on the server and builds the
-// two-level table.
-func NewTieredMemo(c *Client, cfg TieredMemoConfig) (*TieredMemo, error) {
-	remote := cfg.Remote
-	remote.OutWords = 1
-	seg, err := c.Segment(cfg.Name, remote)
-	if err != nil {
-		return nil, err
+// l2Answer classifies a leader's remote GET. hit reports a value to
+// serve (counted as an L2 hit); otherwise the caller computes, and
+// publish says whether it may PUT the result — only after a clean Miss:
+// after a Bypass the governor has turned the segment off, and after an
+// error the tier is not answering. Errors and bypasses are counted, and
+// root's outcome records which level served the request.
+func (ts *tierCounters) l2Answer(vals []uint64, status GetStatus, err error, root *obs.Span) (hit, publish bool) {
+	switch {
+	case err == nil && status == Hit && len(vals) > 0:
+		ts[tsL2Hits].Add(1)
+		root.Outcome("l2_hit")
+		return true, false
+	case err != nil:
+		ts[tsErrors].Add(1)
+		root.Outcome("l2_err")
+	case status == Bypass:
+		ts[tsBypassed].Add(1)
+		root.Outcome("bypass")
+	default:
+		root.Outcome("compute")
 	}
-	return newTieredMemo(seg, cfg), nil
+	return false, err == nil && status == Miss
 }
 
-// NewTieredMemoFleet builds a TieredMemo whose L2 is a sharded crcserve
-// fleet instead of a single node: keys route by consistent hash, PUTs
+// publish records a computed value on L2 with its measured cost C — the
+// cost the server's governor weighs against the overhead O of serving
+// the segment. A failed PUT counts as an error.
+func (ts *tierCounters) publish(seg remoteCache, key []byte, v uint64, cost time.Duration, root *obs.Span) {
+	if err := seg.PutTraced(key, []uint64{v}, cost, root.Context()); err != nil {
+		ts[tsErrors].Add(1)
+	}
+}
+
+// remoteSegment registers a tiered memo's single-word L2 segment.
+func remoteSegment(c *Client, name string, cfg SegmentConfig) (*RemoteSegment, error) {
+	cfg.OutWords = 1
+	return c.Segment(name, cfg)
+}
+
+// NewTieredMemo registers the segment on the client's nodes and builds
+// the two-level table. On a fleet, keys route by consistent hash, PUTs
 // replicate, and reads fail over to the next ring node when the primary
-// errors. The Do/Stats/Reset surface is identical to the single-node
-// TieredMemo.
-func NewTieredMemoFleet(p *Pool, cfg TieredMemoConfig) (*TieredMemo, error) {
-	remote := cfg.Remote
-	remote.OutWords = 1
-	seg, err := p.Segment(cfg.Name, remote)
+// errors.
+func NewTieredMemo(c *Client, cfg TieredMemoConfig) (*TieredMemo, error) {
+	seg, err := remoteSegment(c, cfg.Name, cfg.Remote)
 	if err != nil {
 		return nil, err
 	}
@@ -208,20 +235,10 @@ func (t *TieredMemo) Do(key []byte, compute func() uint64) uint64 {
 // request.
 func (t *TieredMemo) doMiss(key []byte, compute func() uint64, root *obs.Span) uint64 {
 	vals, status, err := t.seg.GetTraced(key, root.Context())
-	switch {
-	case err == nil && status == Hit && len(vals) > 0:
-		t.stats[tsL2Hits].Add(1)
+	hit, publish := t.stats.l2Answer(vals, status, err, root)
+	if hit {
 		t.l1.Store(key, vals[0])
-		root.Outcome("l2_hit")
 		return vals[0]
-	case err != nil:
-		t.stats[tsErrors].Add(1)
-		root.Outcome("l2_err")
-	case status == Bypass:
-		t.stats[tsBypassed].Add(1)
-		root.Outcome("bypass")
-	default:
-		root.Outcome("compute")
 	}
 
 	t.stats[tsComputes].Add(1)
@@ -231,12 +248,8 @@ func (t *TieredMemo) doMiss(key []byte, compute func() uint64, root *obs.Span) u
 	cost := time.Since(start)
 	csp.End()
 	t.l1.Store(key, v)
-	if err == nil && status == Miss {
-		// Report C with the PUT: the server's governor weighs exactly
-		// this cost against the overhead O of serving the segment.
-		if perr := t.seg.PutTraced(key, []uint64{v}, cost, root.Context()); perr != nil {
-			t.stats[tsErrors].Add(1)
-		}
+	if publish {
+		t.stats.publish(t.seg, key, v, cost, root)
 	}
 	return v
 }
@@ -263,8 +276,12 @@ func (t *TieredMemo) RemoteStats() (RemoteStats, error) { return t.seg.Stats() }
 // server-side segment is flushed (which also readmits it).
 func (t *TieredMemo) Reset() error {
 	t.l1.Reset()
-	for i := range t.stats {
-		t.stats[i].Store(0)
-	}
+	t.stats.reset()
 	return t.seg.Flush()
+}
+
+func (ts *tierCounters) reset() {
+	for i := range ts {
+		ts[i].Store(0)
+	}
 }

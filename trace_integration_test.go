@@ -112,3 +112,62 @@ func TestTracingDisabledRecordsNothing(t *testing.T) {
 		t.Fatalf("tracing off but %d spans recorded: %+v", len(spans), spans)
 	}
 }
+
+// TestTraceStitchesTieredDepMemo: a TieredDepMemo request is one trace
+// too — a tiered_dep.do root over the compute, the publishing PUT and,
+// once the budget has evicted a result, the ghost GET, each stitched to
+// the serving node's span.
+func TestTraceStitchesTieredDepMemo(t *testing.T) {
+	// Governor off: a BYPASS verdict would skip the ghost GET's PUT
+	// path this test wants on the wire.
+	_, addr := startNode(t, reused.Config{Governor: reused.GovernorConfig{Window: -1}})
+	c, err := compreuse.DialCache(compreuse.ClientConfig{Addr: addr, Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	tm, err := compreuse.NewTieredDepMemo(c, compreuse.TieredDepMemoConfig{Name: "traced-dep", Budget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	obs.EnableTrace(1, 256)
+	obs.ResetTraces()
+	defer obs.DisableTrace()
+
+	f := func(d *compreuse.Dep) uint64 { return uint64(d.Get(0)) + 100 }
+	var in compreuse.DepInputs
+	// Compute and publish 1, then 2 (evicting 1 to a ghost), then
+	// refill 1 from the server by its ghost key.
+	for _, k := range []int64{1, 2, 1} {
+		if v := tm.Do(in.Reset().Int(k), f); v != uint64(k)+100 {
+			t.Fatalf("Do(%d) = %d", k, v)
+		}
+	}
+	if st := tm.Stats(); st.GhostHits != 1 || st.Computes != 2 {
+		t.Fatalf("stats %+v, want one ghost hit after two computes", st)
+	}
+
+	bd := obs.Summarize(obs.TraceSpans())
+	if len(bd.Traces) != 3 || bd.Stitched != 3 {
+		t.Fatalf("%d traces, %d stitched; want 3 stitched (one per Do)", len(bd.Traces), bd.Stitched)
+	}
+	outcomes := map[string]int{}
+	names := map[string]int{}
+	for _, tr := range bd.Traces {
+		for _, sp := range tr.Spans {
+			names[sp.Name]++
+			if sp.Kind == obs.KindRoot {
+				outcomes[sp.Outcome]++
+			}
+		}
+	}
+	if outcomes["compute"] != 2 || outcomes["l2_hit"] != 1 {
+		t.Errorf("root outcomes = %v, want compute x2 and l2_hit x1", outcomes)
+	}
+	for _, want := range []string{"tiered_dep.do", "compute", "rpc.get", "rpc.put", "srv.get", "srv.put"} {
+		if names[want] == 0 {
+			t.Errorf("no %q span recorded; got %v", want, names)
+		}
+	}
+}
