@@ -62,12 +62,14 @@ loadgen:
 	$(GO) run ./cmd/crcserve loadgen
 
 # fuzz exercises the wire codec's decoder against corrupt frames, the
-# profile snapshot loader against corrupt JSON and the crcserve snapshot
-# restore against corrupt dumps.
+# profile snapshot loader against corrupt JSON, the crcserve snapshot
+# restore against corrupt dumps and the decision-ledger parser against
+# corrupt ledgers.
 fuzz:
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=20s ./internal/wire/
 	$(GO) test -fuzz=FuzzLoadSnapshot -fuzztime=10s ./internal/profile/
 	$(GO) test -fuzz=FuzzReadSnapshot -fuzztime=10s ./internal/reused/
+	$(GO) test -run=FuzzParseLedger -fuzz=FuzzParseLedger -fuzztime=10s ./internal/core/
 
 # smoke is the CI loadgen smoke test: boot crcserve, drive 2s of real
 # traffic, require nonzero shared hits and a clean SIGTERM drain — all

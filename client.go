@@ -45,7 +45,9 @@ type ClientConfig struct {
 	// marked down. 0 means 1s.
 	RedialEvery time.Duration
 	// Conns is the connection-pool size per node; requests round-robin
-	// across it. 0 means 2.
+	// across it. It also bounds the GET frames, and separately the PUT
+	// frames, one segment has in the air; calls beyond it queue and
+	// leave together as one MGET/MPUT. 0 means 2.
 	Conns int
 	// MaxInflight bounds the pipelined requests per pooled connection;
 	// further callers block. 0 means 128.
@@ -262,61 +264,103 @@ type nodeSegment struct {
 	// readmission.
 	bypassed atomic.Bool
 	sinceByp atomic.Int64
-	l2Hits   atomic.Int64
-	l2Misses atomic.Int64
-	l2Bypass atomic.Int64
 
-	// Batching state: Gets and Puts that arrive while a flight is in
-	// progress queue up and leave as one MGET/MPUT frame when it
-	// returns, so n concurrent misses cost one round trip instead of n.
-	// getQ and putQ are independent (a GET flight does not delay PUTs).
-	batchMu   sync.Mutex
-	getQ      []*batchGet
-	getFlying bool
-	putQ      []*batchPut
-	putFlying bool
+	// gets and puts are independent (a GET flight does not delay PUTs).
+	gets, puts flights
 }
 
-// batchGet is one queued probe awaiting its (possibly shared) flight.
-type batchGet struct {
-	key    []byte
-	tid    uint64 // trace id to stamp on the flight's frame (0 = untraced)
-	done   chan struct{}
-	vals   []uint64
-	status GetStatus
-	err    error
+// flights bounds one direction's frames in the air for a segment to one
+// per node connection. A call that finds a slot free flies at once on
+// its caller's goroutine; one that finds every slot taken queues, and
+// the next flight to land carries the whole queue as one MGET/MPUT, so
+// n calls queued during a round trip cost one more round trip, not n.
+type flights struct {
+	mu     sync.Mutex
+	q      []*queuedCall
+	flying int
 }
 
-// batchPut is one queued record awaiting its flight.
-type batchPut struct {
-	key  []byte
-	tid  uint64
-	vals []uint64
-	cost time.Duration
-	done chan struct{}
-	err  error
+// queuedCall is one GET or PUT waiting for a flight.
+type queuedCall struct {
+	key      []byte
+	vals     []uint64      // PUT: the outputs to record; GET: a hit's outputs
+	cost     time.Duration // PUT: the measured computation cost
+	tid      uint64        // trace id to stamp on the frame (0 = untraced)
+	queuedAt time.Time     // traced calls only
+	done     chan struct{}
+	status   GetStatus
+	err      error
+	// A traced call's span reports these: the wait from queueing to
+	// takeoff, and the items in the frame that carried the call.
+	queued time.Duration
+	batch  int
 }
 
-// batchTrace picks the trace id a coalesced flight's frame carries: the
-// first traced member wins (one frame can only carry one id; the
-// others' spans still record client-side, they just aren't stitched to
-// this server execution).
-func batchTraceGet(batch []*batchGet) uint64 {
-	for _, bg := range batch {
-		if bg.tid != 0 {
-			return bg.tid
+// enter takes a free flight slot and returns nil, or, when max flights
+// are already in the air, queues a call and returns it to wait on.
+func (f *flights) enter(max int, key []byte, vals []uint64, cost time.Duration, tid uint64) *queuedCall {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.flying < max {
+		f.flying++
+		return nil
+	}
+	qc := &queuedCall{key: key, vals: vals, cost: cost, tid: tid, done: make(chan struct{})}
+	if tid != 0 {
+		qc.queuedAt = time.Now()
+	}
+	f.q = append(f.q, qc)
+	return qc
+}
+
+// land ends one flight. It returns the calls that queued while it flew,
+// keeping the flight's slot for them, or frees the slot when none did.
+func (f *flights) land() []*queuedCall {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	batch := f.q
+	f.q = nil
+	if len(batch) == 0 {
+		f.flying--
+	}
+	return batch
+}
+
+// drain flies batch and then every batch that queued behind it, until a
+// landing finds the queue empty and frees the slot.
+func (f *flights) drain(batch []*queuedCall, fly func([]*queuedCall)) {
+	for ; batch != nil; batch = f.land() {
+		fly(batch)
+		for _, qc := range batch {
+			close(qc.done)
 		}
 	}
-	return 0
 }
 
-func batchTracePut(batch []*batchPut) uint64 {
-	for _, bp := range batch {
-		if bp.tid != 0 {
-			return bp.tid
+// takeoff stamps a batch's traced calls with their queue wait and frame
+// size, and returns the trace id the frame carries: the first traced
+// member wins (one frame can only carry one id; the others' spans still
+// record client-side, they just aren't stitched to this server
+// execution).
+func takeoff(batch []*queuedCall) uint64 {
+	var now time.Time
+	var tid uint64
+	for _, qc := range batch {
+		if qc.tid == 0 {
+			continue
 		}
+		if tid == 0 {
+			now, tid = time.Now(), qc.tid
+		}
+		qc.queued, qc.batch = now.Sub(qc.queuedAt), len(batch)
 	}
-	return 0
+	return tid
+}
+
+// annotate puts a call's queue wait and frame size on its rpc span.
+func annotate(sp *obs.Span, queued time.Duration, batch int) {
+	sp.Annotate("queued_ns", queued.Nanoseconds())
+	sp.Annotate("batch", int64(batch))
 }
 
 // bypassRecheck is how many locally short-circuited calls a bypassed
@@ -370,7 +414,7 @@ func (s GetStatus) String() string {
 // branches.
 func (s *nodeSegment) getTraced(key []byte, tr obs.TraceCtx) ([]uint64, GetStatus, error) {
 	sp := obs.StartSpan(tr, "rpc.get")
-	vals, status, err := s.doGet(key, sp.TraceID())
+	vals, status, err := s.doGet(key, &sp)
 	if err != nil {
 		sp.Outcome("err")
 	} else {
@@ -380,12 +424,11 @@ func (s *nodeSegment) getTraced(key []byte, tr obs.TraceCtx) ([]uint64, GetStatu
 	return vals, status, err
 }
 
-// doGet is the trace-id-carrying body of Get.
-func (s *nodeSegment) doGet(key []byte, tid uint64) ([]uint64, GetStatus, error) {
+// doGet is the body of getTraced.
+func (s *nodeSegment) doGet(key []byte, sp *obs.Span) ([]uint64, GetStatus, error) {
 	// Short-circuit a known-bypassed segment, revalidating every
 	// bypassRecheck calls so readmission is noticed.
 	if s.bypassed.Load() && s.sinceByp.Add(1)%bypassRecheck != 0 {
-		s.l2Bypass.Add(1)
 		return nil, Bypass, nil
 	}
 
@@ -420,95 +463,76 @@ func (s *nodeSegment) doGet(key []byte, tid uint64) ([]uint64, GetStatus, error)
 				c.sfMu.Unlock()
 				close(call.done)
 			}()
-			call.vals, call.status, call.err = s.get(key, tid)
+			call.vals, call.status, call.err = s.get(key, sp)
 			call.ok = true
 		}()
 		return call.vals, call.status, call.err
 	}
 }
 
-// get enqueues one probe for the flight loop and waits for its result.
-// The caller blocks for the flight's round trip either way; what the
-// queue buys is that every probe queued during an in-flight RTT leaves
-// in a single MGET frame when it returns.
-func (s *nodeSegment) get(key []byte, tid uint64) ([]uint64, GetStatus, error) {
-	bg := &batchGet{key: key, tid: tid, done: make(chan struct{})}
-	s.batchMu.Lock()
-	s.getQ = append(s.getQ, bg)
-	if !s.getFlying {
-		s.getFlying = true
-		go s.getFlightLoop()
+// get flies one probe: inline while a connection is free, otherwise in
+// the MGET of the next flight to land.
+func (s *nodeSegment) get(key []byte, sp *obs.Span) ([]uint64, GetStatus, error) {
+	tid := sp.TraceID()
+	qc := s.gets.enter(len(s.c.conns), key, nil, 0, tid)
+	if qc == nil {
+		annotate(sp, 0, 1)
+		vals, status, err := s.getOne(key, tid)
+		// Probes that queued behind this one leave at once, from a
+		// flight loop of their own: the caller does not wait out their
+		// round trip.
+		if batch := s.gets.land(); batch != nil {
+			go s.gets.drain(batch, s.flyGets)
+		}
+		return vals, status, err
 	}
-	s.batchMu.Unlock()
-	<-bg.done
-	return bg.vals, bg.status, bg.err
+	<-qc.done
+	annotate(sp, qc.queued, qc.batch)
+	return qc.vals, qc.status, qc.err
 }
 
-// getFlightLoop drains the GET queue, one frame per iteration, until a
-// drain finds it empty. A batch of one flies as a plain GET (identical
-// wire cost to the unbatched client); larger batches fly as one MGET.
-func (s *nodeSegment) getFlightLoop() {
-	for {
-		s.batchMu.Lock()
-		batch := s.getQ
-		s.getQ = nil
-		if len(batch) == 0 {
-			s.getFlying = false
-			s.batchMu.Unlock()
-			return
-		}
-		s.batchMu.Unlock()
-		s.flyGets(batch)
-	}
-}
-
-func (s *nodeSegment) flyGets(batch []*batchGet) {
-	defer func() {
-		for _, bg := range batch {
-			close(bg.done)
-		}
-	}()
+// flyGets flies a queued batch: a batch of one as a plain GET (identical
+// wire cost to an inline probe), larger batches as one MGET.
+func (s *nodeSegment) flyGets(batch []*queuedCall) {
+	tid := takeoff(batch)
 	if len(batch) == 1 {
-		bg := batch[0]
-		bg.vals, bg.status, bg.err = s.getOne(bg.key, bg.tid)
+		qc := batch[0]
+		qc.vals, qc.status, qc.err = s.getOne(qc.key, tid)
 		return
 	}
 	req := &wire.Frame{Op: wire.OpMGet, Seg: s.id,
 		Cost: uint64(s.c.rttNS.Load()), Items: make([]wire.Item, len(batch))}
-	req.SetTrace(batchTraceGet(batch))
-	for i, bg := range batch {
-		req.Items[i].Key = bg.key
+	req.SetTrace(tid)
+	for i, qc := range batch {
+		req.Items[i].Key = qc.key
 	}
 	resp, err := s.c.call(req)
 	switch {
 	case err != nil:
-		for _, bg := range batch {
-			bg.status, bg.err = Miss, err
+		for _, qc := range batch {
+			qc.status, qc.err = Miss, err
 		}
 	case resp.Flags&wire.FlagBypass != 0:
 		s.bypassed.Store(true)
-		s.l2Bypass.Add(int64(len(batch)))
-		for _, bg := range batch {
-			bg.status = Bypass
+		for _, qc := range batch {
+			qc.status = Bypass
 		}
 	case len(resp.Items) != len(batch):
 		err := fmt.Errorf("mget %q: %d response items, want %d",
 			s.name, len(resp.Items), len(batch))
-		for _, bg := range batch {
-			bg.status, bg.err = Miss, err
+		for _, qc := range batch {
+			qc.status, qc.err = Miss, err
 		}
 	default:
 		s.bypassed.Store(false)
-		for i, bg := range batch {
+		for i, qc := range batch {
 			// The response frame is owned by this flight (the read loop
 			// decodes each response into a fresh frame), so items hand
 			// their Vals over without a copy.
 			if it := &resp.Items[i]; it.Flags&wire.FlagHit != 0 {
-				bg.status, bg.vals = Hit, it.Vals
-				s.l2Hits.Add(1)
+				qc.status, qc.vals = Hit, it.Vals
 			} else {
-				bg.status = Miss
-				s.l2Misses.Add(1)
+				qc.status = Miss
 			}
 		}
 	}
@@ -526,27 +550,24 @@ func (s *nodeSegment) getOne(key []byte, tid uint64) ([]uint64, GetStatus, error
 	switch {
 	case resp.Flags&wire.FlagBypass != 0:
 		s.bypassed.Store(true)
-		s.l2Bypass.Add(1)
 		return nil, Bypass, nil
 	case resp.Flags&wire.FlagHit != 0:
 		s.bypassed.Store(false)
-		s.l2Hits.Add(1)
 		return resp.Vals, Hit, nil
 	default:
 		s.bypassed.Store(false)
-		s.l2Misses.Add(1)
 		return nil, Miss, nil
 	}
 }
 
 // putTraced records the outputs computed for key on the node, with the
-// measured computation cost. Concurrent records queued while one is in
-// flight leave as a single MPUT frame, each carrying its own cost. When
-// tr is sampled it records an "rpc.put" span and the frame carries the
-// trace id (see getTraced).
+// measured computation cost. It flies like a GET: inline while a
+// connection is free, otherwise in the MPUT of the next flight to land,
+// each record carrying its own cost. When tr is sampled it records an
+// "rpc.put" span and the frame carries the trace id (see getTraced).
 func (s *nodeSegment) putTraced(key []byte, vals []uint64, cost time.Duration, tr obs.TraceCtx) error {
 	sp := obs.StartSpan(tr, "rpc.put")
-	err := s.doPut(key, vals, cost, sp.TraceID())
+	err := s.doPut(key, vals, cost, &sp)
 	if err != nil {
 		sp.Outcome("err")
 	} else {
@@ -556,7 +577,7 @@ func (s *nodeSegment) putTraced(key []byte, vals []uint64, cost time.Duration, t
 	return err
 }
 
-func (s *nodeSegment) doPut(key []byte, vals []uint64, cost time.Duration, tid uint64) error {
+func (s *nodeSegment) doPut(key []byte, vals []uint64, cost time.Duration, sp *obs.Span) error {
 	// Short-circuit a known-bypassed segment with the same periodic
 	// revalidation as Get: every bypassRecheck-th Put goes to the server
 	// anyway. Without the probe, a segment whose traffic is Put-heavy
@@ -565,68 +586,59 @@ func (s *nodeSegment) doPut(key []byte, vals []uint64, cost time.Duration, tid u
 	if s.bypassed.Load() && s.sinceByp.Add(1)%bypassRecheck != 0 {
 		return nil // the governor said stop; don't pay the round trip
 	}
-	bp := &batchPut{key: key, tid: tid, vals: vals, cost: cost, done: make(chan struct{})}
-	s.batchMu.Lock()
-	s.putQ = append(s.putQ, bp)
-	if !s.putFlying {
-		s.putFlying = true
-		go s.putFlightLoop()
+	tid := sp.TraceID()
+	qc := s.puts.enter(len(s.c.conns), key, vals, cost, tid)
+	if qc == nil {
+		annotate(sp, 0, 1)
+		err := s.putOne(key, vals, cost, tid)
+		if batch := s.puts.land(); batch != nil {
+			go s.puts.drain(batch, s.flyPuts)
+		}
+		return err
 	}
-	s.batchMu.Unlock()
-	<-bp.done
-	return bp.err
+	<-qc.done
+	annotate(sp, qc.queued, qc.batch)
+	return qc.err
 }
 
-// putFlightLoop mirrors getFlightLoop for records.
-func (s *nodeSegment) putFlightLoop() {
-	for {
-		s.batchMu.Lock()
-		batch := s.putQ
-		s.putQ = nil
-		if len(batch) == 0 {
-			s.putFlying = false
-			s.batchMu.Unlock()
-			return
-		}
-		s.batchMu.Unlock()
-		s.flyPuts(batch)
-	}
-}
-
-func (s *nodeSegment) flyPuts(batch []*batchPut) {
-	defer func() {
-		for _, bp := range batch {
-			close(bp.done)
-		}
-	}()
-	var resp wire.Frame
-	var err error
+// flyPuts mirrors flyGets for records.
+func (s *nodeSegment) flyPuts(batch []*queuedCall) {
+	tid := takeoff(batch)
 	if len(batch) == 1 {
-		bp := batch[0]
-		req := &wire.Frame{Op: wire.OpPut, Seg: s.id,
-			Key: bp.key, Vals: bp.vals, Cost: uint64(bp.cost.Nanoseconds())}
-		req.SetTrace(bp.tid)
-		resp, err = s.c.call(req)
-	} else {
-		req := &wire.Frame{Op: wire.OpMPut, Seg: s.id,
-			Items: make([]wire.Item, len(batch))}
-		req.SetTrace(batchTracePut(batch))
-		for i, bp := range batch {
-			req.Items[i] = wire.Item{Key: bp.key, Vals: bp.vals,
-				Cost: uint64(bp.cost.Nanoseconds())}
-		}
-		resp, err = s.c.call(req)
-	}
-	if err != nil {
-		for _, bp := range batch {
-			bp.err = err
-		}
+		qc := batch[0]
+		qc.err = s.putOne(qc.key, qc.vals, qc.cost, tid)
 		return
 	}
-	// Track the verdict both ways: a non-bypass acknowledgement clears a
-	// stale local bypass flag (the server has readmitted the segment), so
-	// the Put path revalidates symmetrically with the Get path.
-	s.bypassed.Store(resp.Flags&wire.FlagBypass != 0)
+	req := &wire.Frame{Op: wire.OpMPut, Seg: s.id,
+		Items: make([]wire.Item, len(batch))}
+	req.SetTrace(tid)
+	for i, qc := range batch {
+		req.Items[i] = wire.Item{Key: qc.key, Vals: qc.vals,
+			Cost: uint64(qc.cost.Nanoseconds())}
+	}
+	err := s.acked(s.c.call(req))
+	for _, qc := range batch {
+		qc.err = err
+	}
+}
+
+// putOne is the single-record wire exchange.
+func (s *nodeSegment) putOne(key []byte, vals []uint64, cost time.Duration, tid uint64) error {
+	req := &wire.Frame{Op: wire.OpPut, Seg: s.id,
+		Key: key, Vals: vals, Cost: uint64(cost.Nanoseconds())}
+	req.SetTrace(tid)
+	return s.acked(s.c.call(req))
+}
+
+// acked tracks a PUT's admission verdict both ways: a non-bypass
+// acknowledgement clears a stale local bypass flag (the server has
+// readmitted the segment), so the Put path revalidates symmetrically
+// with the Get path.
+func (s *nodeSegment) acked(resp wire.Frame, err error) error {
+	if err == nil {
+		s.bypassed.Store(resp.Flags&wire.FlagBypass != 0)
+	}
+	return err
 }
 
 // flush empties the segment's table on the node and resets its
@@ -682,17 +694,16 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// clientConn is one pooled connection: a writer goroutine batching
-// pipelined requests, a reader goroutine matching responses back to
-// waiters by sequence number.
+// clientConn is one pooled connection. Callers write their own request
+// frames, one at a time under wmu; a reader goroutine matches responses
+// back to waiters by sequence number. The reader always drains the
+// socket, so a server blocked writing responses never deadlocks against
+// a caller blocked writing a request.
 type clientConn struct {
-	nc      net.Conn
-	writeCh chan *wire.Frame
-	// done is closed by close() and unblocks roundTrip senders parked on
-	// writeCh: once writeLoop has exited there is no receiver, and a
-	// sender that passed the cc.err check before the close would
-	// otherwise block forever on a full writeCh.
-	done chan struct{}
+	nc net.Conn
+
+	wmu sync.Mutex // serializes request frames onto nc
+	w   *wire.Writer
 
 	mu      sync.Mutex
 	pending map[uint64]chan wire.Frame
@@ -720,17 +731,18 @@ func dialConn(addr string, cfg ClientConfig) (*clientConn, error) {
 	}
 	cc := &clientConn{
 		nc:       nc,
-		writeCh:  make(chan *wire.Frame, cfg.maxInflight()),
-		done:     make(chan struct{}),
+		w:        wire.NewWriter(nc),
 		pending:  map[uint64]chan wire.Frame{},
 		inflight: make(chan struct{}, cfg.maxInflight()),
 	}
-	go cc.writeLoop()
 	go cc.readLoop()
 	return cc, nil
 }
 
-// roundTrip pipelines one request and blocks for its response.
+// roundTrip writes one request on the caller's goroutine and blocks for
+// its response. The waiter is registered before the write because the
+// response can arrive before Write returns. A failed write closes the
+// connection, which fails this call along with every other pending one.
 func (cc *clientConn) roundTrip(req *wire.Frame) (wire.Frame, error) {
 	cc.inflight <- struct{}{}
 	defer func() { <-cc.inflight }()
@@ -747,61 +759,20 @@ func (cc *clientConn) roundTrip(req *wire.Frame) (wire.Frame, error) {
 	cc.pending[req.Seq] = ch
 	cc.mu.Unlock()
 
-	// The send races connection teardown: writeLoop exits on a write
-	// error without draining writeCh, so a bare send here could park
-	// forever with no receiver. close() closes cc.done, failing the send
-	// fast with the stored teardown error.
-	select {
-	case cc.writeCh <- req:
-	case <-cc.done:
-		cc.mu.Lock()
-		delete(cc.pending, req.Seq)
-		err := cc.err
-		cc.mu.Unlock()
-		if err == nil {
-			err = errors.New("compreuse: connection closed")
-		}
-		return wire.Frame{}, err
+	cc.wmu.Lock()
+	err := cc.w.Write(req)
+	cc.wmu.Unlock()
+	if err != nil {
+		cc.close(err)
 	}
 	resp, ok := <-ch
 	if !ok {
 		cc.mu.Lock()
 		err := cc.err
 		cc.mu.Unlock()
-		if err == nil {
-			err = errors.New("compreuse: connection closed")
-		}
 		return wire.Frame{}, err
 	}
 	return resp, nil
-}
-
-// writeLoop encodes queued requests, coalescing everything already
-// queued into one flush — the client half of pipelining.
-func (cc *clientConn) writeLoop() {
-	bw := bufio.NewWriterSize(cc.nc, 64<<10)
-	w := wire.NewWriter(bw)
-	for f := range cc.writeCh {
-		if err := w.Write(f); err != nil {
-			cc.close(err)
-			return
-		}
-		for more := true; more; {
-			select {
-			case f2 := <-cc.writeCh:
-				if err := w.Write(f2); err != nil {
-					cc.close(err)
-					return
-				}
-			default:
-				more = false
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			cc.close(err)
-			return
-		}
-	}
 }
 
 // readLoop decodes responses and hands each to its waiter.
@@ -824,14 +795,13 @@ func (cc *clientConn) readLoop() {
 }
 
 // close fails every pending and future call with err: the stored error
-// gates new round trips, closing each pending channel fails the waiters,
-// and closing done unparks any sender blocked on writeCh.
+// gates new round trips, and closing each pending channel fails the
+// waiters.
 func (cc *clientConn) close(err error) {
 	cc.mu.Lock()
 	if cc.err == nil {
 		cc.err = err
 		cc.nc.Close()
-		close(cc.done)
 		for seq, ch := range cc.pending {
 			close(ch)
 			delete(cc.pending, seq)

@@ -3,6 +3,8 @@ package compreuse
 import (
 	"fmt"
 	"net"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +12,7 @@ import (
 
 	"compreuse/internal/obs"
 	"compreuse/internal/reused"
+	"compreuse/internal/wire"
 )
 
 // These are liveness regressions: each guards a path that used to hang
@@ -27,12 +30,14 @@ func waitOrFatal(t *testing.T, done <-chan struct{}, d time.Duration, what strin
 }
 
 // TestTeardownNoDeadlock kills the server out from under a pile of
-// concurrent callers and requires every call to return. The historical
-// bug: writeLoop exits on a write error without draining writeCh, and a
-// caller that had already passed the cc.err check then parks forever on
-// a full writeCh — no receiver ever comes back. The fix selects the
-// send against the connection's done channel.
+// concurrent callers and requires every call to return, and every
+// client goroutine to exit once the Client is closed. Callers write
+// their own frames: a write that fails on the dead socket must close the
+// connection and fail every pending call, never leave one waiting for a
+// response that cannot come. (The historical bug was a caller parked on
+// a full queue to a writer goroutine that had already exited.)
 func TestTeardownNoDeadlock(t *testing.T) {
+	baseline := runtime.NumGoroutine()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -40,11 +45,10 @@ func TestTeardownNoDeadlock(t *testing.T) {
 	srv := reused.New(reused.Config{})
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()
-	defer func() { srv.Close(); <-serveDone }()
+	defer srv.Close()
 
-	// One connection and a deep pipeline: the more senders share a
-	// writeCh, the likelier the undrained-queue window is occupied when
-	// the write side dies.
+	// One connection and a deep pipeline: the more callers share it, the
+	// likelier a write is mid-frame when the socket dies.
 	c, err := DialCache(ClientConfig{Addr: ln.Addr().String(), Conns: 1, MaxInflight: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +87,177 @@ func TestTeardownNoDeadlock(t *testing.T) {
 	srv.Close()
 
 	waitOrFatal(t, finished, 10*time.Second,
-		"callers still blocked 10s after server teardown (writeCh deadlock)")
+		"callers still blocked 10s after server teardown")
+	<-serveDone
+	c.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 10s after Client.Close, baseline %d",
+				runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestConcurrentGetsUseFreeConnections pins per-connection flights: on
+// two connections, a second GET flies while the first is still in the
+// air. The fake node holds its reply to the first GET until a GET
+// arrives on its other connection; a client that queued the second
+// probe behind the first would never send it, and the hold would time
+// out.
+func TestConcurrentGetsUseFreeConnections(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var (
+		mu       sync.Mutex
+		holder   = -1 // the connection holding its reply to the first GET; -2 once released
+		timedOut atomic.Bool
+	)
+	secondGet := make(chan struct{})
+	serve := func(id int, nc net.Conn) {
+		defer nc.Close()
+		r, w := wire.NewReader(nc), wire.NewWriter(nc)
+		for {
+			var f wire.Frame
+			if err := r.Next(&f); err != nil {
+				return
+			}
+			if f.Op == wire.OpGet {
+				mu.Lock()
+				switch {
+				case holder < 0:
+					holder = id
+					mu.Unlock()
+					select {
+					case <-secondGet:
+					case <-time.After(5 * time.Second):
+						timedOut.Store(true)
+					}
+				case holder >= 0 && holder != id:
+					holder = -2
+					mu.Unlock()
+					close(secondGet)
+				default:
+					mu.Unlock()
+				}
+			}
+			resp := wire.Frame{Op: f.Op, Seq: f.Seq, Seg: 1, Flags: wire.FlagResp}
+			if err := w.Write(&resp); err != nil {
+				return
+			}
+		}
+	}
+	go func() {
+		for id := 0; ; id++ {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go serve(id, nc)
+		}
+	}()
+
+	c, err := DialCache(ClientConfig{Addr: ln.Addr().String(), Conns: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	seg, err := c.Segment("free-conns", SegmentConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, _, errs[i] = seg.Get([]byte{byte(i)})
+		}(i)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	waitOrFatal(t, done, 10*time.Second, "GETs still blocked after 10s")
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("get %d: %v", i, err)
+		}
+	}
+	if timedOut.Load() {
+		t.Fatal("the second GET waited for the first one's reply instead of flying on the free connection")
+	}
+}
+
+// TestPipelinedLargeFramesNoDeadlock drives batch frames larger than a
+// socket buffer both ways over one connection from many callers at once.
+// Each caller writes its own frame while the server may be blocked
+// writing a response just as large; the client's reader drains the
+// socket regardless, so every call completes.
+func TestPipelinedLargeFramesNoDeadlock(t *testing.T) {
+	sock := filepath.Join(t.TempDir(), "s.sock")
+	ln, err := net.Listen("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := reused.New(reused.Config{Governor: reused.GovernorConfig{Window: -1}})
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(ln) }()
+	defer func() { srv.Close(); <-serveDone }()
+
+	node, err := dialNode("unix://"+sock, ClientConfig{Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.close()
+	const callers, outWords = 16, 8
+	seg, err := node.segment("large", SegmentConfig{OutWords: outWords})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// 4096 items of 8 value words each: ~300 KiB per MPUT request and
+	// per MGET response.
+	errs := make(chan error, callers)
+	for c := 0; c < callers; c++ {
+		go func(c int) {
+			put := &wire.Frame{Op: wire.OpMPut, Seg: seg.id, Items: make([]wire.Item, wire.MaxItems)}
+			get := &wire.Frame{Op: wire.OpMGet, Seg: seg.id, Items: make([]wire.Item, wire.MaxItems)}
+			for i := range put.Items {
+				k := []byte(fmt.Sprintf("c%02d-%05d", c, i))
+				put.Items[i] = wire.Item{Key: k, Vals: make([]uint64, outWords), Cost: 1}
+				get.Items[i] = wire.Item{Key: k}
+			}
+			if _, err := node.call(put); err != nil {
+				errs <- fmt.Errorf("caller %d mput: %w", c, err)
+				return
+			}
+			resp, err := node.call(get)
+			switch {
+			case err != nil:
+				errs <- fmt.Errorf("caller %d mget: %w", c, err)
+			case len(resp.Items) != wire.MaxItems || resp.Items[0].Flags&wire.FlagHit == 0:
+				errs <- fmt.Errorf("caller %d mget: %d items, first flags %x; want %d hits",
+					c, len(resp.Items), resp.Items[0].Flags, wire.MaxItems)
+			default:
+				errs <- nil
+			}
+		}(c)
+	}
+	timeout := time.After(10 * time.Second)
+	for c := 0; c < callers; c++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-timeout:
+			t.Fatalf("%d of %d callers still blocked after 10s", callers-c, callers)
+		}
+	}
 }
 
 // fakeRemote is an L2 that always misses, so every TieredMemo.Do takes

@@ -137,8 +137,6 @@ func run(args []string, logw io.Writer, ready func(net.Addr)) error {
 	httpAddr := fs.String("http", "localhost:8346",
 		"metrics/debug HTTP listen address (/metrics, /decisions, /debug/pprof); empty disables")
 	maxConns := fs.Int("max-conns", reused.DefaultMaxConns, "max simultaneous client connections")
-	maxInflight := fs.Int("max-inflight", reused.DefaultMaxInflight,
-		"per-connection pipelined-request bound (backpressure beyond it)")
 	memBudget := fs.Int64("mem-budget", 0, "modeled bytes across all segment tables; 0 = unlimited")
 	shards := fs.Int("shards", 0, "lock stripes per segment table; 0 = near GOMAXPROCS")
 	govWindow := fs.Int("gov-window", reused.DefaultWindow,
@@ -205,7 +203,6 @@ func run(args []string, logw io.Writer, ready func(net.Addr)) error {
 
 	srv := reused.New(reused.Config{
 		MaxConns:      *maxConns,
-		MaxInflight:   *maxInflight,
 		MemBudget:     *memBudget,
 		Shards:        *shards,
 		DrainGrace:    *drain,

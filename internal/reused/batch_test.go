@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"compreuse"
+	"compreuse/internal/obs"
 	"compreuse/internal/reused"
 	"compreuse/internal/wire"
 )
@@ -131,16 +132,22 @@ func TestBatchWire(t *testing.T) {
 }
 
 // TestBatchedClientTraffic hammers one segment with concurrent Gets and
-// Puts through a single connection, so the client's flight loops
-// coalesce queued calls into MGET/MPUT frames, and checks every caller
-// still sees exactly its own key's values. Run under -race this is also
-// the aliasing test for the batch paths (response vals handed to
-// waiters, request keys owned by blocked callers).
+// Puts through a single connection, so calls that arrive while its one
+// flight is in the air coalesce into MGET/MPUT frames, and checks every
+// caller still sees exactly its own key's values and that batch frames
+// were served. Run under -race this is also the aliasing test for the
+// batch paths (response vals handed to waiters, request keys owned by
+// blocked callers).
 func TestBatchedClientTraffic(t *testing.T) {
 	srv, addr := startServer(t, reused.Config{
 		Governor: reused.GovernorConfig{Window: -1}, // keep every probe admitted
 	})
 	_ = srv
+	obs.Enable()
+	defer obs.Disable()
+	mgets := obs.NewCounter(`crcserve_requests_total{op="mget"}`, "")
+	mputs := obs.NewCounter(`crcserve_requests_total{op="mput"}`, "")
+	mgetsBefore, mputsBefore := mgets.Value(), mputs.Value()
 
 	cl := dial(t, addr, compreuse.ClientConfig{Conns: 1})
 	seg, err := cl.Segment("batched", compreuse.SegmentConfig{OutWords: 2})
@@ -154,7 +161,8 @@ func TestBatchedClientTraffic(t *testing.T) {
 	errs := make([]error, n)
 
 	// Phase 1: n concurrent Puts on distinct keys. With one connection
-	// and one shared flight loop, most of these leave as MPUT batches.
+	// only one PUT flies at a time, so most of these leave as MPUT
+	// batches.
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -213,6 +221,11 @@ func TestBatchedClientTraffic(t *testing.T) {
 	}
 	if st.Hits != n {
 		t.Errorf("server saw %d hits, want %d", st.Hits, n)
+	}
+	// Calls that find the connection's flight in the air still coalesce.
+	if mgets.Value() == mgetsBefore || mputs.Value() == mputsBefore {
+		t.Errorf("no batch frames served: mget %d -> %d, mput %d -> %d",
+			mgetsBefore, mgets.Value(), mputsBefore, mputs.Value())
 	}
 }
 

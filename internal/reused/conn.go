@@ -3,7 +3,6 @@ package reused
 import (
 	"bufio"
 	"net"
-	"sync"
 	"time"
 
 	"compreuse/internal/obs"
@@ -15,22 +14,11 @@ import (
 // syscalls.
 const connBufBytes = 64 << 10
 
-// framePool recycles frames (and their Key/Vals backing arrays)
-// between the reader and writer of every connection.
-var framePool = sync.Pool{New: func() any { return new(wire.Frame) }}
-
-// conn is one client connection: a reader goroutine that decodes and
-// executes requests, a writer goroutine that encodes and batches
-// responses, and a bounded queue between them whose backpressure
-// ultimately reaches the client through TCP.
+// conn is one client connection, served by one goroutine that reads,
+// executes and answers each request frame in turn.
 type conn struct {
 	srv *Server
 	nc  net.Conn
-	out chan *wire.Frame
-}
-
-func newConn(s *Server, nc net.Conn) *conn {
-	return &conn{srv: s, nc: nc, out: make(chan *wire.Frame, s.cfg.maxInflight())}
 }
 
 // beginDrain puts the connection into drain mode: requests already
@@ -42,23 +30,26 @@ func (c *conn) beginDrain(deadline time.Time) {
 	c.nc.SetReadDeadline(deadline)
 }
 
-// run owns the connection's lifecycle. It returns (and unregisters the
-// connection) only after the writer has flushed everything the reader
-// enqueued.
+// run owns the connection's lifecycle. Responses are buffered and
+// flushed whenever the read buffer holds no further request, so the
+// answers to a pipelined burst leave in one write while a lone request
+// is answered at once. A client that stops reading stalls only its own
+// connection: the flush blocks, and so does reading its next request.
+// run returns (and unregisters the connection) after flushing every
+// response it wrote.
 func (c *conn) run() {
-	writerDone := make(chan struct{})
-	go func() {
-		c.writeLoop()
-		close(writerDone)
-	}()
-
-	r := wire.NewReader(bufio.NewReaderSize(c.nc, connBufBytes))
+	br := bufio.NewReaderSize(c.nc, connBufBytes)
+	r := wire.NewReader(br)
+	bw := bufio.NewWriterSize(c.nc, connBufBytes)
+	w := wire.NewWriter(bw)
+	// The frame's buffers are re-lent by NextReused for the next request:
+	// processing copies whatever it keeps (the table records copies of
+	// key and outputs), and each response is encoded before the next read.
+	var f wire.Frame
 	for {
-		f := framePool.Get().(*wire.Frame)
-		if err := r.Next(f); err != nil {
+		if err := r.NextReused(&f); err != nil {
 			// Clean EOF, drain deadline, protocol garbage: all end the
-			// read side. Responses already queued still go out.
-			framePool.Put(f)
+			// connection once the responses already written are flushed.
 			break
 		}
 		// Adopt the trace a FlagTraced frame carries: the server span
@@ -67,72 +58,22 @@ func (c *conn) run() {
 		// frames (TraceID 0) skip all span work.
 		op := f.Op
 		sp := obs.StartServerSpan(f.TraceID, serverSpanName(op))
-		c.srv.process(f, &sp)
+		c.srv.process(&f, &sp)
 		sp.Outcome(flagOutcome(op, f.Flags))
 		sp.End()
-		c.out <- f // blocks when the writer is behind: backpressure
+		if err := w.Write(&f); err != nil {
+			break
+		}
+		if br.Buffered() == 0 {
+			if err := bw.Flush(); err != nil {
+				break
+			}
+		}
 	}
-	close(c.out)
-	<-writerDone
+	bw.Flush()
+	r.Release()
 	c.nc.Close()
 	c.srv.removeConn(c)
-}
-
-// writeLoop encodes queued responses, coalescing every response that is
-// already queued into a single buffered flush. If the connection dies
-// mid-write it keeps draining the queue (discarding) so the reader can
-// never deadlock against a full queue.
-func (c *conn) writeLoop() {
-	bw := bufio.NewWriterSize(c.nc, connBufBytes)
-	w := wire.NewWriter(bw)
-	dead := false
-	for f := range c.out {
-		if !dead {
-			if err := w.Write(f); err != nil {
-				dead = true
-				c.nc.Close() // unblock the reader too
-			}
-		}
-		release(f)
-		// Batch: drain whatever else is queued before paying a flush.
-		for more := true; more && !dead; {
-			select {
-			case f2, ok := <-c.out:
-				if !ok {
-					bw.Flush()
-					return
-				}
-				if err := w.Write(f2); err != nil {
-					dead = true
-					c.nc.Close()
-				}
-				release(f2)
-			default:
-				more = false
-			}
-		}
-		if !dead {
-			if err := bw.Flush(); err != nil {
-				dead = true
-				c.nc.Close()
-			}
-		}
-	}
-	if !dead {
-		bw.Flush()
-	}
-}
-
-// release returns a frame to the pool, dropping any reference it holds
-// into caller-owned memory (a response must never let the pool reuse a
-// buffer the reuse table or another goroutine still owns).
-func release(f *wire.Frame) {
-	f.Name = ""
-	f.Key = nil
-	f.Vals = nil
-	f.Items = nil
-	f.TraceID = 0
-	framePool.Put(f)
 }
 
 // serverSpanName names the server-side span of a traced request; one

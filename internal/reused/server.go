@@ -5,13 +5,11 @@
 // protocol, so N workers share one table instead of each re-discovering
 // the same N_ds distinct input patterns.
 //
-// Each connection gets a reader goroutine (decode, execute against the
-// segment table, enqueue the response) and a writer goroutine (encode,
-// coalesce every queued response into one buffered flush). The queue
-// between them is bounded — when a client pipelines faster than
-// responses drain, the reader stops reading and TCP backpressure does
-// the rest. Admission is governed per segment by the paper's formula 3
-// evaluated online; see governor.go.
+// Each connection gets one goroutine that decodes a request, executes it
+// against the segment table and encodes the response, flushing once the
+// requests already received are answered (see conn.go). Admission is
+// governed per segment by the paper's formula 3 evaluated online; see
+// governor.go.
 package reused
 
 import (
@@ -34,10 +32,6 @@ type Config struct {
 	// MaxConns caps simultaneously open connections; excess accepts are
 	// closed immediately. 0 means DefaultMaxConns.
 	MaxConns int
-	// MaxInflight bounds the per-connection response queue; a client
-	// that pipelines deeper stops being read until responses drain.
-	// 0 means DefaultMaxInflight.
-	MaxInflight int
 	// MemBudget caps the modeled bytes across all segment tables; when
 	// the total exceeds it, the largest table is flushed. 0 = unlimited.
 	MemBudget int64
@@ -63,7 +57,6 @@ type Config struct {
 // Config defaults.
 const (
 	DefaultMaxConns      = 1024
-	DefaultMaxInflight   = 256
 	DefaultDrainGrace    = 2 * time.Second
 	DefaultSnapshotEvery = 30 * time.Second
 )
@@ -73,13 +66,6 @@ func (c Config) maxConns() int {
 		return DefaultMaxConns
 	}
 	return c.MaxConns
-}
-
-func (c Config) maxInflight() int {
-	if c.MaxInflight <= 0 {
-		return DefaultMaxInflight
-	}
-	return c.MaxInflight
 }
 
 func (c Config) shards() int {
@@ -200,7 +186,7 @@ func (s *Server) addConn(nc net.Conn) bool {
 	if s.inShutdown.Load() || len(s.conns) >= s.cfg.maxConns() {
 		return false
 	}
-	c := newConn(s, nc)
+	c := &conn{srv: s, nc: nc}
 	s.conns[c] = struct{}{}
 	s.connGroup.Add(1)
 	mConnsOpen.Add(1)

@@ -554,8 +554,8 @@ func (r *Reader) Next(f *Frame) error {
 // alternating shapes decodes without per-frame allocations. The decoded
 // fields are valid only until the next NextReused call on this Reader —
 // use plain Next when decoded frames are handed to another goroutine or
-// otherwise outlive the loop iteration (the server's pooled-frame
-// pipeline does; a client's single-frame response loop does not).
+// otherwise outlive the loop iteration (a client's response loop hands
+// them to waiters; the server's read-execute-answer loop does not).
 func (r *Reader) NextReused(f *Frame) error {
 	if f.Key == nil {
 		f.Key = r.scr.key
@@ -589,8 +589,9 @@ func (r *Reader) Release() {
 
 // Writer encodes frames onto a stream, reusing one encode buffer. It is
 // not safe for concurrent use; a connection owns one Writer on its
-// write side (the server's per-connection writer goroutine, which also
-// batches: it encodes frames back-to-back and flushes once per drain).
+// write side (the server's connection loop also batches: it encodes
+// responses back-to-back and flushes once the pending requests are
+// answered).
 type Writer struct {
 	w   io.Writer
 	buf []byte

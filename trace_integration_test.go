@@ -71,6 +71,23 @@ func TestTraceStitchesAcrossTiers(t *testing.T) {
 		}
 	}
 
+	// The lone GET found a connection free: it flew at once, alone in
+	// its frame.
+	for _, tr := range bd.Traces {
+		for i := range tr.Spans {
+			sp := &tr.Spans[i]
+			if sp.Name != "rpc.get" {
+				continue
+			}
+			queued, okQ := sp.Annotation("queued_ns")
+			batch, okB := sp.Annotation("batch")
+			if !okQ || !okB || queued != 0 || batch != 1 {
+				t.Errorf("rpc.get annotations %v, want queued_ns 0 and batch 1",
+					sp.Annotations())
+			}
+		}
+	}
+
 	// The stitched trace's per-hop durations nest sanely: the root
 	// covers its compute child.
 	for _, tr := range bd.Traces {
