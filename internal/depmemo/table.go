@@ -121,41 +121,68 @@ func (s Stats) ReuseRate() float64 {
 	return 1 - float64(s.Distinct)/float64(s.Records)
 }
 
-// node is one trie position. Exactly one of three shapes:
-//   - internal: loc names the next location to read, edges map observed
-//     labels to children;
-//   - value leaf: slot ≥ 0 indexes the leaf arena holding the outputs;
-//   - ghost leaf: ghost is set, gslot indexes the retained encoded key.
+// node is one trie position, addressed by its index in the table's node
+// slab (index 0 is the nil node). Exactly one of three shapes:
+//   - internal: loc names the next location to read; the first child
+//     hangs inline off kid, and the others, once a second label
+//     appears, in a label map of Table.branches;
+//   - value leaf: slot indexes the leaf arena holding the outputs;
+//   - ghost leaf: ghost is set, slot indexes the retained encoded key.
+//
+// In a census almost every internal node has one child, so almost no
+// node gets a map. A node holds no pointers: the garbage collector never
+// scans the slab.
 type node struct {
-	parent *node
 	inEdge uint64
-
-	loc   Loc
-	edges map[uint64]*node
-
+	loc    Loc
+	parent int32
+	kid    int32 // the inline child (0 = none)
+	branch int32 // 1 + index of the map of the other children (0 = none)
+	slot   int32
+	// gen stamps the node's allocation, so a Result pinning a node that
+	// was since freed and reused does not match it.
+	gen   uint32
 	leaf  bool
-	slot  int32
 	ghost bool
-	gslot int32
 }
 
-func (n *node) isValueLeaf() bool { return n.leaf && !n.ghost }
+// internal reports whether n names a location to read (has children).
+func (n *node) internal() bool { return n.kid != 0 || n.branch != 0 }
+
+// The slab is a list of fixed-size chunks: it grows without copying,
+// and a *node stays valid while the node is allocated.
+const (
+	chunkShift = 8
+	chunkMask  = 1<<chunkShift - 1
+)
 
 // Table is a footprint-trie memo table for one segment. Not safe for
 // concurrent use.
 type Table struct {
 	cfg  Config
-	root *node
+	root int32
 
-	// Value-leaf arena: outs[i] backs the leaf at nodes[i]. Bounded
-	// tables pre-size the arena and evict via lru; unbounded tables grow.
-	leafNodes []*node
+	// chunks hold the node slab. Its first nodes nodes are in use or on
+	// freeNodes, the pruned nodes kept for reuse; gen counts allocations.
+	// branches holds the label maps of nodes with two or more children,
+	// freeBranches the emptied ones.
+	chunks       []*[1 << chunkShift]node
+	nodes        int32
+	freeNodes    []int32
+	gen          uint32
+	branches     []map[uint64]int32
+	freeBranches []int32
+
+	// Value-leaf arena: leafOuts[i] backs the leaf at node leafNodes[i].
+	// Bounded tables pre-size the arena and evict via lru; unbounded
+	// tables grow.
+	leafNodes []int32
 	leafOuts  [][]uint64
 	leafFree  []int32
 	lru       *reusetab.LRUList
 
 	// Ghost arena: encoded keys of evicted results.
-	ghostNodes []*node
+	ghostNodes []int32
 	ghostKeys  [][]byte
 	ghostFree  []int32
 	glru       *reusetab.LRUList
@@ -165,9 +192,9 @@ type Table struct {
 
 // New builds a Table.
 func New(cfg Config) *Table {
-	t := &Table{cfg: cfg}
+	t := &Table{cfg: cfg, nodes: 1}
 	if cfg.Entries > 0 {
-		t.leafNodes = make([]*node, cfg.Entries)
+		t.leafNodes = make([]int32, cfg.Entries)
 		t.leafOuts = make([][]uint64, cfg.Entries)
 		t.leafFree = make([]int32, 0, cfg.Entries)
 		for i := cfg.Entries - 1; i >= 0; i-- {
@@ -175,7 +202,7 @@ func New(cfg Config) *Table {
 		}
 		t.lru = reusetab.NewLRUList(cfg.Entries)
 		if cfg.Ghosts {
-			t.ghostNodes = make([]*node, cfg.Entries)
+			t.ghostNodes = make([]int32, cfg.Entries)
 			t.ghostKeys = make([][]byte, cfg.Entries)
 			t.ghostFree = make([]int32, 0, cfg.Entries)
 			for i := cfg.Entries - 1; i >= 0; i-- {
@@ -217,8 +244,9 @@ type Result struct {
 	Hit   bool
 	Ghost bool
 
-	// ref pins the matched node for Refill.
-	ref *node
+	// ref and gen pin the matched node for Refill.
+	ref int32
+	gen uint32
 }
 
 // Probe walks the trie, fetching each named location, until it reaches a
@@ -230,13 +258,14 @@ func (t *Table) Probe(f Fetcher) Result {
 	if t.cfg.Profile {
 		return Result{}
 	}
-	n := t.root
+	i := t.root
 	steps := 0
-	for n != nil {
+	for i != 0 {
+		n := t.node(i)
 		if n.leaf {
 			if n.ghost {
-				t.glru.MoveToFront(int(n.gslot))
-				return Result{Key: t.ghostKeys[n.gslot], Steps: steps, Ghost: true, ref: n}
+				t.glru.MoveToFront(int(n.slot))
+				return Result{Key: t.ghostKeys[n.slot], Steps: steps, Ghost: true, ref: i, gen: n.gen}
 			}
 			if t.lru != nil {
 				t.lru.MoveToFront(int(n.slot))
@@ -244,9 +273,8 @@ func (t *Table) Probe(f Fetcher) Result {
 			t.stats.Hits++
 			return Result{Outs: t.leafOuts[n.slot], Steps: steps, Hit: true}
 		}
-		label := f.Fetch(n.loc)
 		steps++
-		n = n.edges[label]
+		i = t.child(n, f.Fetch(n.loc))
 	}
 	return Result{Steps: steps}
 }
@@ -256,7 +284,8 @@ func (t *Table) Probe(f Fetcher) Result {
 // footprint along the same prefix, which deterministic computations
 // never produce but tolerant float equality or a changed compute
 // function can — are resolved in favor of the new record: the
-// conflicting subtree is evicted. outs is copied.
+// conflicting subtree is evicted. outs is copied, except in profile
+// mode, where no probe ever serves it.
 func (t *Table) Record(path []Step, outs []uint64) {
 	t.stats.Records++
 	t.stats.FootprintSum += int64(len(path))
@@ -264,53 +293,130 @@ func (t *Table) Record(path []Step, outs []uint64) {
 		t.stats.MaxFootprint = len(path)
 	}
 
-	if t.root == nil {
-		t.root = &node{}
+	if t.root == 0 {
+		t.root = t.alloc()
 	}
-	n := t.root
-	for i := range path {
-		st := &path[i]
+	i := t.root
+	for k := range path {
+		st := &path[k]
+		n := t.node(i)
 		if n.leaf {
 			// Footprint widening: the resident record read fewer
 			// locations than this run. Displace it.
 			t.displace(n)
 		}
-		if n.edges == nil {
+		if !n.internal() {
 			n.loc = st.Loc
-			n.edges = map[uint64]*node{}
 		} else if n.loc != st.Loc {
 			// The resident subtree reads a different location here:
 			// the tracked computation changed. Rebuild below this node.
 			t.dropSubtree(n)
 			n.loc = st.Loc
-			n.edges = map[uint64]*node{}
 		}
-		child := n.edges[st.Label]
-		if child == nil {
-			child = &node{parent: n, inEdge: st.Label}
-			n.edges[st.Label] = child
+		c := t.child(n, st.Label)
+		if c == 0 {
+			c = t.addChild(i, st.Label)
 		}
-		n = child
+		i = c
 	}
-	if n.edges != nil {
+	if n := t.node(i); n.internal() {
 		// Footprint narrowing: the resident subtree expects more reads.
 		t.dropSubtree(n)
-		n.loc = Loc{}
-		n.edges = nil
 	}
-	t.storeLeaf(n, outs)
+	t.storeLeaf(i, outs)
 }
 
-// storeLeaf makes n a value leaf holding a copy of outs.
-func (t *Table) storeLeaf(n *node, outs []uint64) {
+// node is the node at index i.
+func (t *Table) node(i int32) *node { return &t.chunks[i>>chunkShift][i&chunkMask] }
+
+// child is n's child under label (0 = none).
+func (t *Table) child(n *node, label uint64) int32 {
+	if n.kid != 0 && t.node(n.kid).inEdge == label {
+		return n.kid
+	}
+	if n.branch != 0 {
+		return t.branches[n.branch-1][label]
+	}
+	return 0
+}
+
+// addChild hangs a new node under p by label: inline when p has no
+// inline child, in p's label map otherwise.
+func (t *Table) addChild(p int32, label uint64) int32 {
+	c := t.alloc()
+	t.node(c).parent, t.node(c).inEdge = p, label
+	n := t.node(p)
+	if n.kid == 0 {
+		n.kid = c
+		return c
+	}
+	if n.branch == 0 {
+		if k := len(t.freeBranches); k > 0 {
+			n.branch = t.freeBranches[k-1] + 1
+			t.freeBranches = t.freeBranches[:k-1]
+		} else {
+			t.branches = append(t.branches, map[uint64]int32{})
+			n.branch = int32(len(t.branches))
+		}
+	}
+	t.branches[n.branch-1][label] = c
+	return c
+}
+
+// removeChild unhooks child c from p.
+func (t *Table) removeChild(p, c int32) {
+	n := t.node(p)
+	if n.kid == c {
+		n.kid = 0
+		return
+	}
+	m := t.branches[n.branch-1]
+	delete(m, t.node(c).inEdge)
+	if len(m) == 0 {
+		t.releaseBranch(n)
+	}
+}
+
+// releaseBranch empties n's label map and keeps it for reuse.
+func (t *Table) releaseBranch(n *node) {
+	clear(t.branches[n.branch-1])
+	t.freeBranches = append(t.freeBranches, n.branch-1)
+	n.branch = 0
+}
+
+// alloc takes a fresh node from the free list or the end of the slab.
+func (t *Table) alloc() int32 {
+	t.gen++
+	i := t.nodes
+	if k := len(t.freeNodes); k > 0 {
+		i = t.freeNodes[k-1]
+		t.freeNodes = t.freeNodes[:k-1]
+	} else {
+		if int(i>>chunkShift) == len(t.chunks) {
+			t.chunks = append(t.chunks, new([1 << chunkShift]node))
+		}
+		t.nodes++
+	}
+	*t.node(i) = node{gen: t.gen}
+	return i
+}
+
+// free returns an unhooked, childless node to the free list.
+func (t *Table) free(i int32) {
+	*t.node(i) = node{}
+	t.freeNodes = append(t.freeNodes, i)
+}
+
+// storeLeaf makes node i a value leaf holding a copy of outs.
+func (t *Table) storeLeaf(i int32, outs []uint64) {
+	n := t.node(i)
 	if n.ghost {
 		// A ghost promoted back to a value leaf: the result was
 		// recomputed (or refilled), so the key-only shell fills in.
 		t.freeGhost(n)
 		n.leaf = false
 	}
-	fresh := !n.leaf
-	if fresh {
+	if !n.leaf {
 		slot, ok := t.allocSlot()
 		if !ok {
 			// Budget full and nothing evictable (Entries leaves are all
@@ -320,7 +426,7 @@ func (t *Table) storeLeaf(n *node, outs []uint64) {
 		}
 		n.leaf = true
 		n.slot = slot
-		t.leafNodes[slot] = n
+		t.leafNodes[slot] = i
 		if t.lru != nil {
 			t.lru.PushFront(int(slot))
 		}
@@ -328,7 +434,9 @@ func (t *Table) storeLeaf(n *node, outs []uint64) {
 	} else if t.lru != nil {
 		t.lru.MoveToFront(int(n.slot))
 	}
-	t.leafOuts[n.slot] = append(t.leafOuts[n.slot][:0], outs...)
+	if !t.cfg.Profile {
+		t.leafOuts[n.slot] = append(t.leafOuts[n.slot][:0], outs...)
+	}
 }
 
 // allocSlot returns a free leaf-arena slot, evicting the LRU resident
@@ -337,7 +445,7 @@ func (t *Table) allocSlot() (int32, bool) {
 	if t.cfg.Entries == 0 {
 		// Unbounded: grow the arena.
 		if len(t.leafFree) == 0 {
-			t.leafNodes = append(t.leafNodes, nil)
+			t.leafNodes = append(t.leafNodes, 0)
 			t.leafOuts = append(t.leafOuts, nil)
 			return int32(len(t.leafNodes) - 1), true
 		}
@@ -360,15 +468,16 @@ func (t *Table) allocSlot() (int32, bool) {
 // evictLeaf displaces a resident result for the space budget: its slot is
 // reclaimed and, with ghosts enabled, the node keeps its encoded key;
 // otherwise the node is pruned from the trie.
-func (t *Table) evictLeaf(n *node) {
+func (t *Table) evictLeaf(i int32) {
 	t.stats.Evictions++
+	n := t.node(i)
 	t.releaseSlot(n)
 	if t.cfg.Ghosts {
-		t.makeGhost(n)
+		t.makeGhost(i)
 		return
 	}
 	n.leaf = false
-	t.prune(n)
+	t.prune(i)
 }
 
 // displace removes a leaf (value or ghost) because a conflicting record
@@ -386,7 +495,7 @@ func (t *Table) displace(n *node) {
 // releaseSlot returns n's arena slot to the free list.
 func (t *Table) releaseSlot(n *node) {
 	slot := n.slot
-	t.leafNodes[slot] = nil
+	t.leafNodes[slot] = 0
 	if t.leafOuts[slot] != nil {
 		t.leafOuts[slot] = t.leafOuts[slot][:0]
 	}
@@ -397,63 +506,79 @@ func (t *Table) releaseSlot(n *node) {
 	n.slot = 0
 }
 
-// makeGhost converts a just-evicted leaf into a ghost retaining its
+// makeGhost converts just-evicted leaf i into a ghost retaining its
 // encoded dependence key. The oldest ghost is pruned when the ghost
 // budget is full.
-func (t *Table) makeGhost(n *node) {
+func (t *Table) makeGhost(i int32) {
 	if len(t.ghostFree) == 0 {
 		old := t.glru.Back()
 		if old < 0 {
-			n.leaf = false
-			t.prune(n)
+			t.node(i).leaf = false
+			t.prune(i)
 			return
 		}
 		g := t.ghostNodes[old]
-		t.freeGhost(g)
-		g.leaf = false
+		gn := t.node(g)
+		t.freeGhost(gn)
+		gn.leaf = false
 		t.prune(g)
 	}
 	gslot := t.ghostFree[len(t.ghostFree)-1]
 	t.ghostFree = t.ghostFree[:len(t.ghostFree)-1]
+	n := t.node(i)
 	n.ghost = true
-	n.gslot = gslot
-	t.ghostNodes[gslot] = n
-	t.ghostKeys[gslot] = t.encodeKey(t.ghostKeys[gslot][:0], n)
+	n.slot = gslot
+	t.ghostNodes[gslot] = i
+	t.ghostKeys[gslot] = t.encodeKey(t.ghostKeys[gslot][:0], i)
 	t.glru.PushFront(int(gslot))
 }
 
 // freeGhost releases n's ghost-arena slot.
 func (t *Table) freeGhost(n *node) {
-	gslot := n.gslot
-	t.ghostNodes[gslot] = nil
+	gslot := n.slot
+	t.ghostNodes[gslot] = 0
 	t.glru.Remove(int(gslot))
 	t.ghostFree = append(t.ghostFree, gslot)
 	n.ghost = false
-	n.gslot = 0
+	n.slot = 0
 }
 
-// prune removes a now-empty node from the trie, cascading up through
-// internal nodes left childless.
-func (t *Table) prune(n *node) {
-	for n != nil && !n.leaf && len(n.edges) == 0 {
-		p := n.parent
-		if p == nil {
-			t.root = nil
+// prune frees node i, now neither a leaf nor internal, cascading up
+// through internal nodes left childless.
+func (t *Table) prune(i int32) {
+	for i != 0 {
+		n := t.node(i)
+		if n.leaf || n.internal() {
 			return
 		}
-		delete(p.edges, n.inEdge)
-		n = p
+		p := n.parent
+		if p == 0 {
+			t.root = 0
+		} else {
+			t.removeChild(p, i)
+		}
+		t.free(i)
+		i = p
 	}
 }
 
-// dropSubtree evicts every result and ghost below n (exclusive).
+// dropSubtree evicts every result and ghost below n (exclusive) and
+// frees the nodes there, leaving n childless.
 func (t *Table) dropSubtree(n *node) {
-	for _, c := range n.edges {
-		t.dropNode(c)
+	if n.kid != 0 {
+		t.dropNode(n.kid)
+		n.kid = 0
+	}
+	if n.branch != 0 {
+		for _, c := range t.branches[n.branch-1] {
+			t.dropNode(c)
+		}
+		t.releaseBranch(n)
 	}
 }
 
-func (t *Table) dropNode(n *node) {
+func (t *Table) dropNode(i int32) {
+	n := t.node(i)
 	if n.leaf {
 		if n.ghost {
 			t.freeGhost(n)
@@ -461,29 +586,27 @@ func (t *Table) dropNode(n *node) {
 			t.stats.Evictions++
 			t.releaseSlot(n)
 		}
-		n.leaf = false
-		return
+	} else {
+		t.dropSubtree(n)
 	}
-	for _, c := range n.edges {
-		t.dropNode(c)
-	}
+	t.free(i)
 }
 
-// encodeKey appends the wire encoding of n's root path to b: for each
-// step, the input index (2 bytes), the element offset (4 bytes, offset
-// by 2 so the reserved negative values encode), and the label (8 bytes),
-// all little-endian. The encoding is canonical: one path, one key.
-func (t *Table) encodeKey(b []byte, n *node) []byte {
+// encodeKey appends the wire encoding of node i's root path to b: for
+// each step, the input index (2 bytes), the element offset (4 bytes,
+// offset by 2 so the reserved negative values encode), and the label (8
+// bytes), all little-endian. The encoding is canonical: one path, one
+// key.
+func (t *Table) encodeKey(b []byte, i int32) []byte {
 	// Walk up collecting, then reverse in place (14-byte granules).
 	start := len(b)
-	for n.parent != nil {
-		p := n.parent
+	for n := t.node(i); n.parent != 0; n = t.node(n.parent) {
+		p := t.node(n.parent)
 		var step [14]byte
 		binary.LittleEndian.PutUint16(step[0:], uint16(p.loc.Input))
 		binary.LittleEndian.PutUint32(step[2:], uint32(p.loc.Off+2))
 		binary.LittleEndian.PutUint64(step[6:], n.inEdge)
 		b = append(b, step[:]...)
-		n = p
 	}
 	// Reverse the granules so the key reads root-to-leaf.
 	const g = 14
@@ -515,29 +638,37 @@ func EncodeSteps(b []byte, path []Step) []byte {
 // Refill converts the ghost a probe matched back into a value leaf,
 // storing outs fetched from elsewhere (a remote tier) by the ghost's
 // key. key re-identifies the ghost: if the node was evicted or rebuilt
-// between the probe and the refill (the caller may have dropped its
-// lock for the remote round trip), the refill is silently skipped.
+// between the probe and the refill, or the table was reset (the caller
+// may have dropped its lock for the remote round trip), the refill is
+// silently skipped.
 func (t *Table) Refill(r Result, key []byte, outs []uint64) {
-	n := r.ref
-	if n == nil || !n.ghost {
+	if r.ref <= 0 || r.ref >= t.nodes {
 		return
 	}
-	if string(t.ghostKeys[n.gslot]) != string(key) {
+	n := t.node(r.ref)
+	if n.gen != r.gen || !n.ghost || string(t.ghostKeys[n.slot]) != string(key) {
 		return
 	}
-	t.storeLeaf(n, outs)
+	t.storeLeaf(r.ref, outs)
 }
 
 // Reset drops every resident result, ghost, and counter, keeping the
-// configuration and arena capacity (PR 4 convention: a reset table is
-// indistinguishable from a fresh one, without reallocating).
+// configuration and arena capacity: a reset table is indistinguishable
+// from a fresh one, without reallocating.
 func (t *Table) Reset() {
-	t.root = nil
+	t.root = 0
+	t.nodes = 1
+	t.freeNodes = t.freeNodes[:0]
+	t.freeBranches = t.freeBranches[:0]
+	for i, m := range t.branches {
+		clear(m)
+		t.freeBranches = append(t.freeBranches, int32(i))
+	}
 	if t.cfg.Entries > 0 {
 		t.leafFree = t.leafFree[:0]
 		for i := t.cfg.Entries - 1; i >= 0; i-- {
 			t.leafFree = append(t.leafFree, int32(i))
-			t.leafNodes[i] = nil
+			t.leafNodes[i] = 0
 			if t.leafOuts[i] != nil {
 				t.leafOuts[i] = t.leafOuts[i][:0]
 			}
@@ -547,7 +678,7 @@ func (t *Table) Reset() {
 			t.ghostFree = t.ghostFree[:0]
 			for i := t.cfg.Entries - 1; i >= 0; i-- {
 				t.ghostFree = append(t.ghostFree, int32(i))
-				t.ghostNodes[i] = nil
+				t.ghostNodes[i] = 0
 			}
 			t.glru.Reset()
 		}

@@ -1,0 +1,141 @@
+package interp
+
+import (
+	"hash/maphash"
+	"testing"
+
+	"compreuse/internal/depmemo"
+	"compreuse/internal/minic"
+)
+
+// The profiling census and dependence-tracked regions allocate once per
+// distinct result, never once per instance. These tests pin the steady
+// state: a run of many instances allocates exactly what a run of a few
+// does.
+
+// steadyAllocs reports the allocations of a run over n instances beyond
+// those of a run over a handful.
+func steadyAllocs(t *testing.T, run func(n int64)) float64 {
+	t.Helper()
+	few := testing.AllocsPerRun(5, func() { run(8) })
+	many := testing.AllocsPerRun(5, func() { run(2000) })
+	return many - few
+}
+
+// TestDepRegionZeroAllocSteadyState runs a dependence-tracked region
+// over a one-entry table on alternating footprints: every other instance
+// misses (watcher open, watched reads, record over the evicted result's
+// nodes, reset) and the one after it hits.
+func TestDepRegionZeroAllocSteadyState(t *testing.T) {
+	prog := compile(t, `
+int tbl[4] = {1, 2, 3, 4};
+int pick(int j) {
+    int r;
+    r = tbl[j] * 2 + tbl[j + 2];
+    return r;
+}
+int main(int n) {
+    int s = 0;
+    int k;
+    for (k = 0; k < n; k++)
+        s += pick(k / 2 % 2);
+    return s;
+}`)
+	fn := prog.Func("pick")
+	var rSym, tblSym *minic.Symbol
+	for _, id := range minic.Idents(fn.Body) {
+		switch id.Name {
+		case "r":
+			rSym = id.Sym
+		case "tbl":
+			tblSym = id.Sym
+		}
+	}
+	rr := prog.NewReuseRegion(0, 0, "pick@body")
+	rr.Dep = true
+	rr.Inputs = []minic.Expr{prog.NewIdent(fn.Params[0].Sym), prog.NewIdent(tblSym)}
+	rr.Outputs = []minic.Expr{prog.NewIdent(rSym)}
+	rr.Body = fn.Body.Stmts[1]
+	fn.Body.Stmts[1] = rr
+	tabs := map[int]*depmemo.Table{0: depmemo.New(depmemo.Config{Name: "pick", Entries: 1})}
+	var last *SegRunStats
+	run := func(n int64) {
+		res, err := Run(prog, Options{Args: []int64{n}, DepTables: tabs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = res.Segs[rr.ID()]
+	}
+	if n := steadyAllocs(t, run); n != 0 {
+		t.Errorf("dep region instances allocate: %v allocs beyond a short run, want 0", n)
+	}
+	if last.Hits != 1000 || last.BodyRuns != 1000 {
+		t.Errorf("stats %+v, want alternating misses and hits", last)
+	}
+}
+
+// TestWatchCensusZeroAllocSteadyState takes a flat census of a branch
+// keyed on tbl[j], whose keys repeat: after the first sightings, each
+// instance is a census hit.
+func TestWatchCensusZeroAllocSteadyState(t *testing.T) {
+	prog := compile(t, `
+int tbl[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+int main(int n) {
+    int s = 0;
+    int j;
+    int k;
+    for (k = 0; k < n; k++) {
+        j = k % 8;
+        if (j >= 0) s += tbl[j] * 3;
+    }
+    return s;
+}`)
+	loop := prog.Func("main").Body.Stmts[3].(*minic.ForStmt)
+	branch := loop.Body.(*minic.Block).Stmts[1].(*minic.IfStmt)
+	var tbl, j *minic.Symbol
+	for _, id := range minic.Idents(branch.Then) {
+		switch id.Name {
+		case "tbl":
+			tbl = id.Sym
+		case "j":
+			j = id.Sym
+		}
+	}
+	w := &Watch{Body: branch.Then, Inputs: []minic.Expr{minic.Ref(tbl, minic.Ref(j, nil))}}
+	var last WatchStats
+	run := func(n int64) {
+		res, err := RunWatched(prog, Options{Args: []int64{n}}, []*Watch{w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = res.Watched[0]
+	}
+	if n := steadyAllocs(t, run); n != 0 {
+		t.Errorf("census hits allocate: %v allocs beyond a short run, want 0", n)
+	}
+	if len(last.Census) != 8 || last.Census[3].Count != 250 || last.Err != nil {
+		t.Errorf("census %+v (err %v), want 8 keys seen 250 times each", last.Census, last.Err)
+	}
+}
+
+// TestWatchCensusCollisionHitZeroAlloc forces two keys onto one hash:
+// each keeps its own census entry, in first-seen order, and a hit on the
+// second key of the chain allocates nothing.
+func TestWatchCensusCollisionHitZeroAlloc(t *testing.T) {
+	w := &watch{rank: map[uint64]int32{}}
+	seed := maphash.MakeSeed()
+	a, b := []byte("key-a"), []byte("key-b")
+	h := maphash.Bytes(seed, a)
+	w.count(a, h, 0)
+	w.count(b, h, 1) // collides with a
+	w.count(a, h, 2)
+	w.count(b, h, 3)
+	w.count(b, h, 4)
+	want := []KeySeen{{Key: "key-a", Count: 2, First: 0}, {Key: "key-b", Count: 3, First: 1}}
+	if got := w.stats.Census; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("census %+v, want %+v", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { w.count(b, h, 5) }); n != 0 {
+		t.Errorf("a census hit allocates %v times, want 0", n)
+	}
+}

@@ -19,64 +19,130 @@ import "compreuse/internal/depmemo"
 
 // depRange is one watched input: words [base, base+words) of seg,
 // addressed in the trie as Loc{Input: input, Off: cell-base} (scalars
-// as Loc{input, OffWhole}).
+// as Loc{input, OffWhole}). Its cells' stamps start at stamps[first].
 type depRange struct {
 	seg    *Seg
 	base   int
 	words  int
+	first  int
 	scalar bool
 }
 
 // depWatcher tracks one active dep-region instance. Watchers nest
-// dynamically (a dep region inside another's body, across calls): every
-// load/store notifies the whole chain through parent.
+// dynamically (a dep region inside another's body, across calls), and
+// each watched segment lists the ranges of the watchers in the chain
+// that cover it (Seg.covers), so a load or store reaches exactly the
+// watchers that care.
 // A location already read or written is not a new input: a second read
 // repeats the first, and a read after a write sees a derived value.
+// stamps[first+off] == epoch marks such a cell of a range; open bumps
+// the epoch, which clears every mark at once.
 type depWatcher struct {
-	parent  *depWatcher
-	ranges  []depRange
-	path    []depmemo.Step
-	touched map[depmemo.Loc]struct{}
+	parent *depWatcher
+	ranges []depRange
+	path   []depmemo.Step
+	stamps []uint32
+	epoch  uint32
+}
+
+// cover is a chained watcher's range input, listed on the segment the
+// range covers.
+type cover struct {
+	depRange
+	w     *depWatcher
+	input int32
 }
 
 // open watches the input locations of one instance.
 func (w *depWatcher) open(ins []part, fr *Seg) {
+	n := 0
 	for i := range ins {
 		in := &ins[i]
 		p := in.addr(fr)
-		w.ranges = append(w.ranges, depRange{seg: p.seg, base: p.off, words: len(in.cells), scalar: in.val != nil})
+		w.ranges = append(w.ranges, depRange{seg: p.seg, base: p.off, words: len(in.cells), first: n, scalar: in.val != nil})
+		n += len(in.cells)
+	}
+	if n > cap(w.stamps) {
+		w.stamps = make([]uint32, n)
+	}
+	w.stamps = w.stamps[:n]
+	if w.epoch++; w.epoch == 0 {
+		clear(w.stamps[:cap(w.stamps)])
+		w.epoch = 1
 	}
 }
 
 // reset empties w for its next instance.
 func (w *depWatcher) reset() {
 	w.parent, w.ranges, w.path = nil, w.ranges[:0], w.path[:0]
-	clear(w.touched)
 }
 
-// locate maps a memory cell to its trie location under this watcher,
-// if the cell is watched.
-func (w *depWatcher) locate(seg *Seg, off int) (depmemo.Loc, bool) {
+// pushDep chains w, open, under the running watchers: its ranges go on
+// the cover lists of their segments.
+func (mc *Machine) pushDep(w *depWatcher) {
+	w.parent = mc.depWatch
+	mc.depWatch = w
 	for i := range w.ranges {
 		r := &w.ranges[i]
-		if r.seg == seg && off >= r.base && off < r.base+r.words {
-			if r.scalar {
-				return depmemo.Loc{Input: int32(i), Off: depmemo.OffWhole}, true
-			}
-			return depmemo.Loc{Input: int32(i), Off: int32(off - r.base)}, true
+		if r.seg != nil {
+			r.seg.covers = append(r.seg.covers, cover{depRange: *r, w: w, input: int32(i)})
 		}
 	}
-	return depmemo.Loc{}, false
 }
 
-// onRead records a first read of a watched, untouched location.
-func (w *depWatcher) onRead(seg *Seg, off int, v Value) {
-	for ; w != nil; w = w.parent {
-		if l, ok := w.locate(seg, off); ok {
-			if _, done := w.touched[l]; !done {
-				w.touched[l] = struct{}{}
-				w.path = append(w.path, depmemo.Step{Loc: l, Label: depEncode(v)})
+// popDep unchains w, the innermost watcher, and takes its ranges off
+// their segments' cover lists.
+func (mc *Machine) popDep(w *depWatcher) {
+	mc.depWatch = w.parent
+	for i := range w.ranges {
+		seg := w.ranges[i].seg
+		if seg == nil {
+			continue
+		}
+		cs := seg.covers[:0]
+		for _, c := range seg.covers {
+			if c.w != w {
+				cs = append(cs, c)
 			}
+		}
+		clear(seg.covers[len(cs):])
+		seg.covers = cs
+	}
+}
+
+// mark stamps cell off of c's range and reports whether it was unmarked.
+func (c *cover) mark(off int) bool {
+	k := c.first + off - c.base
+	if c.w.stamps[k] == c.w.epoch {
+		return false
+	}
+	c.w.stamps[k] = c.w.epoch
+	return true
+}
+
+// onRead records a first read of a watched, untouched location. It is
+// called on the chain's head, but seg's cover list names the watchers to
+// notify; a segment no watcher covers, like every frame without watched
+// inputs, returns at once. Each watcher sees a cell through the first of
+// its ranges that covers it (a watcher's covers are listed together, in
+// range order, because watchers nest).
+func (w *depWatcher) onRead(seg *Seg, off int, v Value) {
+	if len(seg.covers) == 0 {
+		return
+	}
+	var last *depWatcher
+	for i := range seg.covers {
+		c := &seg.covers[i]
+		if c.w == last || off < c.base || off >= c.base+c.words {
+			continue
+		}
+		last = c.w
+		if c.mark(off) {
+			l := depmemo.Loc{Input: c.input, Off: depmemo.OffWhole}
+			if !c.scalar {
+				l.Off = int32(off - c.base)
+			}
+			c.w.path = append(c.w.path, depmemo.Step{Loc: l, Label: depEncode(v)})
 		}
 	}
 }
@@ -84,17 +150,25 @@ func (w *depWatcher) onRead(seg *Seg, off int, v Value) {
 // onWrite marks a watched location as body-produced: later reads of it
 // are no longer input dependences.
 func (w *depWatcher) onWrite(seg *Seg, off int) {
-	for ; w != nil; w = w.parent {
-		if l, ok := w.locate(seg, off); ok {
-			w.touched[l] = struct{}{}
+	if len(seg.covers) == 0 {
+		return
+	}
+	var last *depWatcher
+	for i := range seg.covers {
+		c := &seg.covers[i]
+		if c.w == last || off < c.base || off >= c.base+c.words {
+			continue
 		}
+		last = c.w
+		c.mark(off)
 	}
 }
 
 // Fetch serves a trie probe from current memory, making the watcher the
 // depmemo.Fetcher for its own region. Locations a recorded run read
-// out-of-range for this instance's inputs yield a sentinel that forces
-// the probe off the resident path.
+// out-of-range for this instance's inputs — past a range, or in a range
+// with no cell there, like the pointee of a null pointer — yield a
+// sentinel that forces the probe off the resident path.
 func (w *depWatcher) Fetch(l depmemo.Loc) uint64 {
 	if int(l.Input) >= len(w.ranges) {
 		return depOOB(uint64(l.Input))
@@ -104,7 +178,7 @@ func (w *depWatcher) Fetch(l depmemo.Loc) uint64 {
 	if l.Off != depmemo.OffWhole {
 		off = int(l.Off)
 	}
-	if off < 0 || off >= r.words {
+	if off < 0 || off >= r.words || r.seg == nil || r.base+off < 0 || r.base+off >= len(r.seg.data) {
 		return depOOB(uint64(uint32(l.Off)))
 	}
 	return depEncode(r.seg.data[r.base+off])
@@ -115,7 +189,12 @@ func depEncode(v Value) uint64 {
 	if v.K == KPtr {
 		// Pointer-valued cells key on the offset only; segment identity
 		// is not stable across runs, but within one run two watched
-		// pointers into the same frame differ exactly by offset.
+		// pointers into the same frame differ exactly by offset. A null
+		// pointer (or one derived from it) has no segment and labels
+		// apart from every pointer into one, &x[0] included.
+		if v.seg == nil {
+			return depOOB(uint64(v.n) ^ 0x6e756c6c<<32)
+		}
 		return depOOB(uint64(v.n) ^ 0x70747265)
 	}
 	// Int payloads and float bits; a function value's payload is 0.
@@ -168,10 +247,9 @@ func (mc *Machine) execDepReuse(r *region, fr *Seg) ctrl {
 			return cNone
 		}
 	}
-	w.parent = mc.depWatch
-	mc.depWatch = w
+	mc.pushDep(w)
 	c := mc.runBody(r, fr)
-	mc.depWatch = w.parent
+	mc.popDep(w)
 	if c != cNone {
 		return c
 	}

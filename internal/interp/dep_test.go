@@ -322,3 +322,96 @@ int main(void) {
 		t.Fatalf("outer footprint: %+v", ts)
 	}
 }
+
+// TestDepNullPointerInput pins the label of a null pointer input apart
+// from a pointer to cell 0: get(0) and get(arr) read p alike up to its
+// label, and only get(arr) goes on to read p[0]. Sharing a label, one
+// call's record served the other, or the probe fetched p[0] through a
+// null pointer.
+func TestDepNullPointerInput(t *testing.T) {
+	const src = `
+int arr[2] = {1, 2};
+int get(int *p) {
+    int r;
+    r = 0;
+    if (p != 0) r = p[0] * 2;
+    return r;
+}
+int main(int nullFirst) {
+    int a, b;
+    if (nullFirst) { a = get(0); b = get(arr); } else { b = get(arr); a = get(0); }
+    return a * 10 + b;
+}`
+	for _, nullFirst := range []int64{1, 0} {
+		plain, err := Run(compile(t, src), Options{Args: []int64{nullFirst}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := compile(t, src)
+		fn := prog.Func("get")
+		pSym := fn.Params[0].Sym
+		var rSym *minic.Symbol
+		for _, id := range minic.Idents(fn.Body) {
+			if id.Name == "r" {
+				rSym = id.Sym
+			}
+		}
+		rr := prog.NewReuseRegion(0, 0, "get@body")
+		rr.Dep = true
+		rr.Inputs = []minic.Expr{prog.NewIdent(pSym), prog.NewIndex(prog.NewIdent(pSym), prog.NewIntLit(0))}
+		rr.Outputs = []minic.Expr{prog.NewIdent(rSym)}
+		rr.Body = &minic.Block{Stmts: fn.Body.Stmts[1:3]}
+		fn.Body.Stmts = []minic.Stmt{fn.Body.Stmts[0], rr, fn.Body.Stmts[3]}
+		tab := depmemo.New(depmemo.Config{Name: "get"})
+		res, err := Run(prog, Options{Args: []int64{nullFirst}, DepTables: map[int]*depmemo.Table{0: tab}})
+		if err != nil {
+			t.Fatalf("nullFirst=%d: %v", nullFirst, err)
+		}
+		if res.Ret != plain.Ret || plain.Ret != 2 {
+			t.Errorf("nullFirst=%d: memoized run returned %d, plain run %d", nullFirst, res.Ret, plain.Ret)
+		}
+		if st := res.Segs[rr.ID()]; st.Hits != 0 || st.BodyRuns != 2 {
+			t.Errorf("nullFirst=%d: stats %+v, want two body runs and no hit", nullFirst, st)
+		}
+	}
+}
+
+// TestDepProbeThroughNullRange pins the probe of a watched pointee whose
+// pointer is now null: the body reads arr[0] before p, so a recorded
+// path starts at the input p[0], and a later instance with p null has
+// no cell there. The probe must miss rather than fetch through null.
+func TestDepProbeThroughNullRange(t *testing.T) {
+	const src = `
+int arr[2] = {1, 2};
+int get(int *p) {
+    int r;
+    r = arr[0] + (p != 0);
+    return r;
+}
+int main(void) { return get(arr) * 10 + get(0); }`
+	prog := compile(t, src)
+	fn := prog.Func("get")
+	pSym := fn.Params[0].Sym
+	var rSym *minic.Symbol
+	for _, id := range minic.Idents(fn.Body) {
+		if id.Name == "r" {
+			rSym = id.Sym
+		}
+	}
+	rr := prog.NewReuseRegion(0, 0, "get@body")
+	rr.Dep = true
+	rr.Inputs = []minic.Expr{prog.NewIdent(pSym), prog.NewIndex(prog.NewIdent(pSym), prog.NewIntLit(0))}
+	rr.Outputs = []minic.Expr{prog.NewIdent(rSym)}
+	rr.Body = fn.Body.Stmts[1]
+	fn.Body.Stmts[1] = rr
+	res, err := Run(prog, Options{DepTables: map[int]*depmemo.Table{0: depmemo.New(depmemo.Config{Name: "get"})}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ret != 21 {
+		t.Fatalf("returned %d, want 21", res.Ret)
+	}
+	if st := res.Segs[rr.ID()]; st.Hits != 0 || st.BodyRuns != 2 {
+		t.Fatalf("stats %+v, want two body runs and no hit", st)
+	}
+}

@@ -33,7 +33,7 @@ func take(spare **scratch) *scratch {
 	sc := *spare
 	*spare = nil
 	if sc == nil {
-		sc = &scratch{w: depWatcher{touched: map[depmemo.Loc]struct{}{}}}
+		sc = &scratch{}
 	}
 	return sc
 }

@@ -45,6 +45,9 @@ type Seg struct {
 	data []Value
 	name string
 	fn   *function
+	// covers lists the dependence watchers' ranges over this segment
+	// (see depWatcher); empty unless a dep region is watching it.
+	covers []cover
 }
 
 // Ptr is a VM pointer: a cell offset within a segment. The zero Ptr is the

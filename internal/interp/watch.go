@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"hash/maphash"
+
 	"compreuse/internal/depmemo"
 	"compreuse/internal/minic"
 )
@@ -73,6 +75,7 @@ type watching struct {
 	decls map[*minic.VarDecl][]*watch
 	// active lists the watches with a running instance.
 	active []*watch
+	seed   maphash.Seed
 	probes int64
 	key    []byte
 	words  []uint64
@@ -88,8 +91,12 @@ type watch struct {
 	lowered   bool
 	depth     int64
 	stats     WatchStats
-	rank      map[string]int
-	spare     *scratch
+	// rank indexes the census by a hash of the key: it maps a hash to
+	// its latest census entry, and next[i] chains entry i to the one
+	// before it with the same hash (-1 ends the chain).
+	rank  map[uint64]int32
+	next  []int32
+	spare *scratch
 }
 
 // inst is one running watch instance.
@@ -103,9 +110,10 @@ func newWatching(ws []*Watch) *watching {
 		stmts: map[minic.Stmt][]*watch{},
 		runs:  map[*minic.Block][]*watch{},
 		decls: map[*minic.VarDecl][]*watch{},
+		seed:  maphash.MakeSeed(),
 	}
 	for i, spec := range ws {
-		w := &watch{Watch: spec, idx: i, rank: map[string]int{}}
+		w := &watch{Watch: spec, idx: i, rank: map[uint64]int32{}}
 		w.stats.Nested = make([]int64, len(ws))
 		wt.ws = append(wt.ws, w)
 		if blk, ok := spec.Body.(*minic.Block); ok && spec.To > 0 {
@@ -236,7 +244,7 @@ func (mc *Machine) watchEnter(w *watch, fr *Seg) inst {
 			return inst{before: -1}
 		}
 	} else if mc.sideWork(w, func() { mc.wt.key = mc.appendKey(mc.wt.key[:0], w.ins, fr) }) {
-		w.count(mc.wt.key, mc.wt.probes)
+		w.count(mc.wt.key, maphash.Bytes(mc.wt.seed, mc.wt.key), mc.wt.probes)
 		mc.wt.probes++
 	} else {
 		return inst{before: -1}
@@ -246,8 +254,7 @@ func (mc *Machine) watchEnter(w *watch, fr *Seg) inst {
 		mc.wt.active = append(mc.wt.active, w)
 	}
 	if t.sc != nil {
-		t.sc.w.parent = mc.depWatch
-		mc.depWatch = &t.sc.w
+		mc.pushDep(&t.sc.w)
 	}
 	t.before = mc.cycles
 	return t
@@ -260,7 +267,7 @@ func (mc *Machine) watchExit(w *watch, t inst, c ctrl, fr *Seg) {
 		return
 	}
 	if t.sc != nil {
-		mc.depWatch = t.sc.w.parent
+		mc.popDep(&t.sc.w)
 		defer func() { t.sc.w.reset(); w.spare = t.sc }()
 	}
 	w.stats.Run.BodyCycles += mc.cycles - t.before
@@ -317,15 +324,21 @@ func (mc *Machine) credit(w *watch, cycles int64) {
 	}
 }
 
-// count adds a key to w's census.
-func (w *watch) count(key []byte, seq int64) {
-	if r, ok := w.rank[string(key)]; ok {
-		w.stats.Census[r].Count++
-		return
+// count adds a key, whose hash is h, to w's census.
+func (w *watch) count(key []byte, h uint64, seq int64) {
+	head, ok := w.rank[h]
+	if !ok {
+		head = -1
 	}
-	ks := string(key)
-	w.rank[ks] = len(w.stats.Census)
-	w.stats.Census = append(w.stats.Census, KeySeen{Key: ks, Count: 1, First: seq})
+	for r := head; r >= 0; r = w.next[r] {
+		if ks := &w.stats.Census[r]; ks.Key == string(key) {
+			ks.Count++
+			return
+		}
+	}
+	w.rank[h] = int32(len(w.stats.Census))
+	w.next = append(w.next, head)
+	w.stats.Census = append(w.stats.Census, KeySeen{Key: string(key), Count: 1, First: seq})
 }
 
 func (o *OpCounts) add(d OpCounts) {

@@ -5,18 +5,19 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"compreuse/internal/obs"
 )
 
-// The model-based oracle for both tiered memos: seeded random op
-// sequences from concurrent callers over an in-memory L2 that fails
-// GETs and PUTs and answers BYPASS at random. Whatever tier serves a
-// call, its result must equal the unmemoized compute — a result depends
-// only on its tracked reads — and the where-served counters must
-// account for every call.
+// The model-based oracle for the dependence memo and both tiered memos:
+// seeded random op sequences from concurrent callers, over an in-memory
+// L2 that fails GETs and PUTs and answers BYPASS at random for the
+// tiered ones. Whatever serves a call, its result must equal the
+// unmemoized compute — a result depends only on its tracked reads — and
+// the where-served counters must account for every call.
 
 var errChaos = errors.New("injected remote fault")
 
@@ -190,6 +191,42 @@ func TestTieredDepMemoOracle(t *testing.T) {
 		}
 		if st.GhostHits == 0 || st.Bypassed == 0 || st.Errors == 0 || tm.Local().Evictions == 0 {
 			t.Fatalf("seed %d: a path went unexercised: %+v, local %+v", seed, st, tm.Local())
+		}
+	}
+}
+
+// TestDepMemoOracle is the oracle's plain DepMemo arm: the footprint trie
+// alone, unbounded and under a budget that keeps evicting. Every call
+// must return the unmemoized compute and end as exactly one hit or one
+// compute.
+func TestDepMemoOracle(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		for _, budget := range []int{0, 8} {
+			m := NewDepMemo(DepConfig{Name: "oracle-dep-plain", Budget: budget})
+			var computes atomic.Int64
+			compute := func(d *Dep) uint64 { computes.Add(1); return footprintFn(d) }
+			runOracle(t, seed*100+int64(budget), func(rng *rand.Rand) error {
+				x := drawInput(rng)
+				var in DepInputs
+				in.Int(x.sel).Int(x.a).Int(x.b).Int(x.c).Words(x.w[:])
+				if got, want := m.Do(&in, compute), footprintFn(&x); got != want {
+					return fmt.Errorf("seed %d budget %d: Do(%+v) = %#x, want %#x", seed, budget, x, got, want)
+				}
+				return nil
+			})
+			st := m.Stats()
+			if st.Calls != oracleWorkers*oracleOps || st.Calls != st.Hits+computes.Load() {
+				t.Fatalf("seed %d budget %d: %d computes do not account for every call: %+v", seed, budget, computes.Load(), st)
+			}
+			if st.Hits == 0 || st.MaxFootprint < 2 || st.MeanFootprint >= float64(st.MaxFootprint) {
+				t.Fatalf("seed %d budget %d: footprints did not vary or nothing hit: %+v", seed, budget, st)
+			}
+			switch {
+			case budget == 0 && (st.Evictions != 0 || int64(st.Resident) != st.Distinct):
+				t.Fatalf("seed %d: unbounded memo lost results: %+v", seed, st)
+			case budget > 0 && (st.Evictions == 0 || st.Resident > budget):
+				t.Fatalf("seed %d budget %d: budget not enforced or never hit: %+v", seed, budget, st)
+			}
 		}
 	}
 }
