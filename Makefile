@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race check bench bench-vm bench-pipeline eval serve eval-serve eval-json fuzz loadgen smoke fleet fleet-smoke trace-smoke
+.PHONY: build vet test race check bench bench-vm bench-pipeline eval serve eval-serve eval-json fuzz loadgen smoke fleet fleet-smoke trace-smoke flights
 
 build:
 	$(GO) build ./...
@@ -95,3 +95,12 @@ fleet:
 # balance, snapshot round-trips — all under the race detector.
 fleet-smoke:
 	$(GO) test -race -count=1 -run 'TestRingFailover|TestRingOfOne|TestRingOfOneRecoversAfterRestart|TestRedialAfterCloseLeaksNoClient|TestRingBalance|TestFleetDemo|TestSnapshot|TestShutdownWritesFinalSnapshot' -v . ./cmd/crcbench/ ./internal/reused/
+
+# flights repeats every singleflight and leader-panic test of the
+# reuse runtime (Memoized, TieredMemo, DepMemo, TieredDepMemo and their
+# oracles) 20 times under the race detector: these paths park and wake
+# goroutines, so one pass proves little.
+FLIGHT_TESTS = ^(TestMemoSingleflight|TestMemoSingleflightDistinctKeys|TestMemoizedPanicReleasesKey|TestTieredMemoSingleflight|TestTieredPanicPropagatesAndFollowersRetry|TestDepMemoSingleflight|TestDepMemoSingleflightPanic|TestTieredDepMemoSingleflight|TestTieredDepMemoConcurrentGhosts|TestDepMemoOracle|TestTieredMemoOracle|TestTieredDepMemoOracle)$$
+
+flights:
+	$(GO) test -race -count=20 -run '$(FLIGHT_TESTS)' . ./internal/reused/

@@ -49,9 +49,6 @@ type ClientConfig struct {
 	// frames, one segment has in the air; calls beyond it queue and
 	// leave together as one MGET/MPUT. 0 means 2.
 	Conns int
-	// MaxInflight bounds the pipelined requests per pooled connection;
-	// further callers block. 0 means 128.
-	MaxInflight int
 	// DialTimeout bounds connection establishment. 0 means 5s.
 	DialTimeout time.Duration
 }
@@ -89,13 +86,6 @@ func (c ClientConfig) conns() int {
 	return c.Conns
 }
 
-func (c ClientConfig) maxInflight() int {
-	if c.MaxInflight <= 0 {
-		return 128
-	}
-	return c.MaxInflight
-}
-
 func (c ClientConfig) dialTimeout() time.Duration {
 	if c.DialTimeout <= 0 {
 		return 5 * time.Second
@@ -106,11 +96,12 @@ func (c ClientConfig) dialTimeout() time.Duration {
 // nodeClient talks to one crcserve node over the internal/wire
 // protocol. It is safe for concurrent use: requests are pipelined over
 // a small pool of connections (many callers share one in-flight window
-// per connection, matched back by sequence number), concurrent GETs for
-// the same key are deduplicated in flight (singleflight), and every
-// response round-trip feeds a smoothed RTT estimate that is reported to
-// the server — the server folds it into the lookup overhead O of its
-// formula-3 admission governor.
+// per connection, matched back by sequence number), and every response
+// round-trip feeds a smoothed RTT estimate that is reported to the
+// server — the server folds it into the lookup overhead O of its
+// formula-3 admission governor. It does not deduplicate GETs: the
+// tiered memos coalesce misses above it, and concurrent GETs that find
+// every connection busy share one MGET frame (see flights).
 type nodeClient struct {
 	conns []*clientConn
 	next  atomic.Uint64
@@ -118,33 +109,14 @@ type nodeClient struct {
 	// rttNS is the smoothed round-trip estimate, EWMA weight 1/8.
 	rttNS atomic.Int64
 
-	sfMu sync.Mutex
-	sf   map[sfKey]*sfCall
-
 	closed atomic.Bool
-}
-
-type sfKey struct {
-	seg uint32
-	key string
-}
-
-type sfCall struct {
-	done chan struct{}
-	// ok is set by the leader on normal completion, before done closes.
-	// A follower that observes !ok knows the leader panicked out of the
-	// call and must retry instead of trusting the zero-valued result.
-	ok     bool
-	vals   []uint64
-	status GetStatus
-	err    error
 }
 
 // dialNode connects to the crcserve node at addr, establishing the whole
 // connection pool eagerly so a misconfigured address fails at startup,
 // not mid-traffic.
 func dialNode(addr string, cfg ClientConfig) (*nodeClient, error) {
-	c := &nodeClient{sf: map[sfKey]*sfCall{}}
+	c := &nodeClient{}
 	for i := 0; i < cfg.conns(); i++ {
 		cc, err := dialConn(addr, cfg)
 		if err != nil {
@@ -405,16 +377,15 @@ func (s GetStatus) String() string {
 	}
 }
 
-// getTraced probes the node's shared table. Concurrent probes for the
-// same key are coalesced into one round trip; every caller receives the
-// same result, and the returned slice is owned by the caller. When tr
-// is sampled the probe records an "rpc.get" span and stamps the trace
-// id onto the wire frame (wire.FlagTraced), so the serving node's span
-// stitches into the same trace; an unsampled context costs two
-// branches.
+// getTraced probes the node's shared table; the returned slice is owned
+// by the caller. Concurrent probes share at most an MGET frame: they
+// are not deduplicated by key (see nodeClient). When tr is sampled the
+// probe records an "rpc.get" span and stamps the trace id onto the wire
+// frame (wire.FlagTraced), so the serving node's span stitches into the
+// same trace; an unsampled context costs two branches.
 func (s *nodeSegment) getTraced(key []byte, tr obs.TraceCtx) ([]uint64, GetStatus, error) {
 	sp := obs.StartSpan(tr, "rpc.get")
-	vals, status, err := s.doGet(key, &sp)
+	vals, status, err := s.get(key, &sp)
 	if err != nil {
 		sp.Outcome("err")
 	} else {
@@ -424,55 +395,14 @@ func (s *nodeSegment) getTraced(key []byte, tr obs.TraceCtx) ([]uint64, GetStatu
 	return vals, status, err
 }
 
-// doGet is the body of getTraced.
-func (s *nodeSegment) doGet(key []byte, sp *obs.Span) ([]uint64, GetStatus, error) {
+// get flies one probe: inline while a connection is free, otherwise in
+// the MGET of the next flight to land.
+func (s *nodeSegment) get(key []byte, sp *obs.Span) ([]uint64, GetStatus, error) {
 	// Short-circuit a known-bypassed segment, revalidating every
 	// bypassRecheck calls so readmission is noticed.
 	if s.bypassed.Load() && s.sinceByp.Add(1)%bypassRecheck != 0 {
 		return nil, Bypass, nil
 	}
-
-	k := sfKey{seg: s.id, key: string(key)}
-	c := s.c
-	for {
-		c.sfMu.Lock()
-		if call, ok := c.sf[k]; ok {
-			c.sfMu.Unlock()
-			<-call.done
-			if !call.ok {
-				// The leader panicked out of its flight; its result is
-				// garbage. Retry — this caller likely becomes the leader.
-				continue
-			}
-			return append([]uint64(nil), call.vals...), call.status, call.err
-		}
-		call := &sfCall{done: make(chan struct{})}
-		c.sf[k] = call
-		c.sfMu.Unlock()
-
-		// The map delete and the done close live in a defer so that a
-		// panic anywhere in the leader's flight (the user-visible half of
-		// it runs compute callbacks in TieredMemo) still unparks every
-		// follower and clears the entry — otherwise one panic would hang
-		// every future Get of this key forever. The panic itself is not
-		// recovered: it propagates to the leader's caller.
-		func() {
-			defer func() {
-				c.sfMu.Lock()
-				delete(c.sf, k)
-				c.sfMu.Unlock()
-				close(call.done)
-			}()
-			call.vals, call.status, call.err = s.get(key, sp)
-			call.ok = true
-		}()
-		return call.vals, call.status, call.err
-	}
-}
-
-// get flies one probe: inline while a connection is free, otherwise in
-// the MGET of the next flight to land.
-func (s *nodeSegment) get(key []byte, sp *obs.Span) ([]uint64, GetStatus, error) {
 	tid := sp.TraceID()
 	qc := s.gets.enter(len(s.c.conns), key, nil, 0, tid)
 	if qc == nil {
@@ -698,7 +628,10 @@ func b2u(b bool) uint64 {
 // frames, one at a time under wmu; a reader goroutine matches responses
 // back to waiters by sequence number. The reader always drains the
 // socket, so a server blocked writing responses never deadlocks against
-// a caller blocked writing a request.
+// a caller blocked writing a request. Nothing caps the pending window
+// here: each segment's flights keep at most Conns GETs and Conns PUTs
+// of its own in the air across the node's pool, and every other request
+// (HELLO, STATS, FLUSH) blocks its own caller until it is answered.
 type clientConn struct {
 	nc net.Conn
 
@@ -709,8 +642,6 @@ type clientConn struct {
 	pending map[uint64]chan wire.Frame
 	err     error
 	seq     uint64
-
-	inflight chan struct{} // capacity = MaxInflight
 }
 
 // ParseAddr splits a crcserve address into the network and address
@@ -730,10 +661,9 @@ func dialConn(addr string, cfg ClientConfig) (*clientConn, error) {
 		return nil, err
 	}
 	cc := &clientConn{
-		nc:       nc,
-		w:        wire.NewWriter(nc),
-		pending:  map[uint64]chan wire.Frame{},
-		inflight: make(chan struct{}, cfg.maxInflight()),
+		nc:      nc,
+		w:       wire.NewWriter(nc),
+		pending: map[uint64]chan wire.Frame{},
 	}
 	go cc.readLoop()
 	return cc, nil
@@ -744,9 +674,6 @@ func dialConn(addr string, cfg ClientConfig) (*clientConn, error) {
 // response can arrive before Write returns. A failed write closes the
 // connection, which fails this call along with every other pending one.
 func (cc *clientConn) roundTrip(req *wire.Frame) (wire.Frame, error) {
-	cc.inflight <- struct{}{}
-	defer func() { <-cc.inflight }()
-
 	ch := make(chan wire.Frame, 1)
 	cc.mu.Lock()
 	if cc.err != nil {

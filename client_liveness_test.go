@@ -49,7 +49,7 @@ func TestTeardownNoDeadlock(t *testing.T) {
 
 	// One connection and a deep pipeline: the more callers share it, the
 	// likelier a write is mid-frame when the socket dies.
-	c, err := DialCache(ClientConfig{Addr: ln.Addr().String(), Conns: 1, MaxInflight: 8})
+	c, err := DialCache(ClientConfig{Addr: ln.Addr().String(), Conns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,9 +278,10 @@ func (f *fakeRemote) Flush() error                { return nil }
 // leader whose compute panics. The historical bug: the leader's panic
 // skipped the delete-and-close of the singleflight entry, so the panic
 // vanished into the Do caller and every follower waited forever on a
-// done channel nobody would close. Now the leader re-propagates the
-// panic and the followers wake to ok=false and retry — one of them
-// becomes the new leader and everyone gets its value.
+// done channel nobody would close. Now the leader lands its flight on
+// the way out and re-propagates the panic; the followers wake, re-probe
+// L1, find nothing there, and each runs its own compute without a
+// flight, so everyone gets the value 42.
 func TestTieredPanicPropagatesAndFollowersRetry(t *testing.T) {
 	tm := newTieredMemo(&fakeRemote{}, TieredMemoConfig{Name: "panic"})
 	key := []byte("the-key")
@@ -325,12 +326,12 @@ func TestTieredPanicPropagatesAndFollowersRetry(t *testing.T) {
 		"followers still parked after the leader panicked (unclosed singleflight)")
 	for i, v := range results {
 		if v != 42 {
-			t.Errorf("follower %d got %d, want 42 (the retry leader's value)", i, v)
+			t.Errorf("follower %d got %d, want 42 (its own compute's value)", i, v)
 		}
 	}
 
-	// The singleflight map must be empty again: the next Do on the key
-	// is a fresh flight, not a wait on a ghost.
+	// The flight table must be empty again: the next Do on the key is
+	// a fresh flight, not a wait on a ghost.
 	done := make(chan struct{})
 	go func() { tm.Do(key, func() uint64 { return 7 }); close(done) }()
 	waitOrFatal(t, done, 10*time.Second, "Do after panic recovery blocked")

@@ -44,12 +44,12 @@ type DepMemo struct {
 	cfg  DepConfig
 	seed maphash.Seed
 
-	mu    sync.Mutex
-	tab   *depmemo.Table
-	fetch depFetch
-	sf    map[uint64]*depCall
-	calls int64
-	hits  int64
+	mu      sync.Mutex
+	tab     *depmemo.Table
+	fetch   depFetch
+	flights flightTable
+	calls   int64
+	hits    int64
 
 	depPool sync.Pool
 
@@ -104,16 +104,6 @@ func (s DepStats) HitRatio() float64 {
 	return float64(s.Hits) / float64(s.Calls)
 }
 
-// depCall is one in-flight compute; the leader retires it (see retire)
-// once its result is in the trie. Followers re-probe rather than adopt a
-// value, so a flight-key collision can cost a duplicate compute but
-// never a wrong result.
-type depCall struct {
-	done    chan struct{}
-	fk      uint64
-	retired bool // set under the memo's lock
-}
-
 // NewDepMemo builds a DepMemo.
 func NewDepMemo(cfg DepConfig) *DepMemo { return newDepMemo(cfg, false) }
 
@@ -124,7 +114,6 @@ func newDepMemo(cfg DepConfig, ghosts bool) *DepMemo {
 		cfg:  cfg,
 		seed: maphash.MakeSeed(),
 		tab:  depmemo.New(depmemo.Config{Name: cfg.Name, Entries: cfg.Budget, Ghosts: ghosts}),
-		sf:   map[uint64]*depCall{},
 	}
 	m.fetch.m = m
 	m.depPool.New = func() any { return &Dep{m: m, seen: map[depmemo.Loc]struct{}{}} }
@@ -392,8 +381,7 @@ func (m *DepMemo) Do(in *DepInputs, compute func(*Dep) uint64) uint64 {
 // from the trie, directly or after another caller's flight. root is the
 // TieredDepMemo request's span (nil for a plain DepMemo).
 func (m *DepMemo) do(in *DepInputs, compute func(*Dep) uint64, root *obs.Span) (v uint64, hit bool) {
-	waited := false
-	for {
+	for waited := false; ; waited = true {
 		m.mu.Lock()
 		if !waited {
 			m.calls++
@@ -407,24 +395,18 @@ func (m *DepMemo) do(in *DepInputs, compute func(*Dep) uint64, root *obs.Span) (
 			m.mu.Unlock()
 			return v, true
 		}
-		var c *depCall
+		var fl *flight
 		if !waited {
-			fk := m.flightKey(in)
-			if prior, ok := m.sf[fk]; ok {
-				// Join the in-flight compute, then re-probe: if the
-				// leader's inputs were ours, its record is our hit.
+			// Join the in-flight compute of the same inputs and
+			// re-probe — if the leader's inputs were ours, its record is
+			// our hit — or lead a flight of our own.
+			var wait <-chan struct{}
+			if fl, wait = m.flights.join(m.flightKey(in)); wait != nil {
 				m.mu.Unlock()
-				<-prior.done
-				waited = true
+				<-wait
 				continue
 			}
-			c = &depCall{done: make(chan struct{}), fk: fk}
-			m.sf[fk] = c
 		}
-		// A caller that already joined one flight and still misses
-		// takes the miss path without a flight of its own: flight keys
-		// are hashes, and a duplicate compute is cheaper than a wrong
-		// adoption or a livelock.
 		if r.Ghost {
 			// The key aliases trie storage; copy it out before dropping
 			// the lock for the round trip. The copy must be per-call — a
@@ -434,56 +416,36 @@ func (m *DepMemo) do(in *DepInputs, compute func(*Dep) uint64, root *obs.Span) (
 			r.Key = append([]byte(nil), r.Key...)
 		}
 		m.mu.Unlock()
-		return m.miss(in, compute, r, c, root), false
+		return m.miss(in, compute, r, fl, root), false
 	}
 }
 
 // miss is a call's slow path once the trie has missed: compute with
 // tracking and record, or — for a TieredDepMemo — its remote tier's
-// ghost refill and publish around that. c is the caller's flight (nil
-// when it already waited one out); a panic in the path still retires it
-// (its followers retry or compute themselves) and propagates.
-func (m *DepMemo) miss(in *DepInputs, compute func(*Dep) uint64, r depmemo.Result, c *depCall, root *obs.Span) uint64 {
-	if c != nil {
-		defer func() {
-			if !c.retired {
-				m.mu.Lock()
-				m.retire(c)
-				m.mu.Unlock()
-			}
-		}()
-	}
+// ghost refill and publish around that. fl is the caller's flight (nil
+// when it already waited one out); a panic in the path still lands it
+// and propagates.
+func (m *DepMemo) miss(in *DepInputs, compute func(*Dep) uint64, r depmemo.Result, fl *flight, root *obs.Span) uint64 {
+	defer m.flights.release(&m.mu, fl)
 	if m.tier != nil {
-		return m.tier.miss(in, compute, r, c, root)
+		return m.tier.miss(in, compute, r, fl, root)
 	}
 	d := m.getDep(in)
 	v := compute(d)
-	m.land(d, v, c)
+	m.land(d, v, fl)
 	m.putDep(d)
 	return v
 }
 
-// land records a computed result and retires the caller's flight c (nil
+// land records a computed result and lands the caller's flight fl (nil
 // when it has none) in one critical section, so a follower woken by the
 // flight re-probes into the record.
-func (m *DepMemo) land(d *Dep, v uint64, c *depCall) {
+func (m *DepMemo) land(d *Dep, v uint64, fl *flight) {
 	d.out[0] = v
 	m.mu.Lock()
 	m.tab.Record(d.path, d.out[:])
-	m.retire(c)
+	m.flights.land(fl)
 	m.mu.Unlock()
-}
-
-// retire removes flight c and wakes its followers; m.mu is held. Only
-// the flight's leader retires it, so the leader may read c.retired
-// without the lock.
-func (m *DepMemo) retire(c *depCall) {
-	if c == nil || c.retired {
-		return
-	}
-	c.retired = true
-	delete(m.sf, c.fk)
-	close(c.done)
 }
 
 // Stats returns a consistent snapshot of the memo's counters.
@@ -622,8 +584,8 @@ func (t *TieredDepMemo) Do(in *DepInputs, compute func(*Dep) uint64) uint64 {
 // key asks L2 first and a hit refills the trie; otherwise the compute
 // runs, records, and publishes under the canonical dependence key —
 // after a clean Miss, or when no GET was made. The PUT follows the
-// flight's retirement, so followers do not wait on it.
-func (t *TieredDepMemo) miss(in *DepInputs, compute func(*Dep) uint64, r depmemo.Result, c *depCall, root *obs.Span) uint64 {
+// flight's landing, so followers do not wait on it.
+func (t *TieredDepMemo) miss(in *DepInputs, compute func(*Dep) uint64, r depmemo.Result, fl *flight, root *obs.Span) uint64 {
 	m := t.dm
 	publish := true
 	if r.Ghost {
@@ -632,7 +594,7 @@ func (t *TieredDepMemo) miss(in *DepInputs, compute func(*Dep) uint64, r depmemo
 		if hit, publish = t.stats.l2Answer(vals, status, err, root); hit {
 			m.mu.Lock()
 			m.tab.Refill(r, r.Key, vals[:1])
-			m.retire(c)
+			m.flights.land(fl)
 			m.mu.Unlock()
 			return vals[0]
 		}
@@ -651,7 +613,7 @@ func (t *TieredDepMemo) miss(in *DepInputs, compute func(*Dep) uint64, r depmemo
 	if publish {
 		key = depmemo.EncodeSteps(nil, d.path)
 	}
-	m.land(d, v, c)
+	m.land(d, v, fl)
 	m.putDep(d)
 	if publish {
 		t.stats.publish(t.seg, key, v, cost, root)

@@ -220,7 +220,7 @@ func TestGovernorBypassesCheapSegment(t *testing.T) {
 func TestShutdownDrain(t *testing.T) {
 	srv, addr := startServer(t, reused.Config{DrainGrace: time.Second})
 
-	cl := dial(t, addr, compreuse.ClientConfig{Conns: 2, MaxInflight: 64})
+	cl := dial(t, addr, compreuse.ClientConfig{Conns: 2})
 	seg, err := cl.Segment("drain", compreuse.SegmentConfig{})
 	if err != nil {
 		t.Fatal(err)

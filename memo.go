@@ -36,10 +36,11 @@ var (
 // memo map is striped across independently locked shards selected by a
 // hash of the key, statistics are atomic, and concurrent calls with the
 // same key are deduplicated (singleflight) so f runs once per distinct
-// in-flight key instead of once per caller. The paper's profitability
-// condition R·C − O > 0 (formula 3) is why this matters: a contended
-// global lock inflates the lookup overhead O until no segment is worth
-// memoizing, so the runtime keeps O flat as GOMAXPROCS grows.
+// key instead of once per caller, unless a leader panics or a Reset
+// races it. The paper's profitability condition R·C − O > 0 (formula 3)
+// is why this matters: a contended global lock inflates the lookup
+// overhead O until no segment is worth memoizing, so the runtime keeps O
+// flat as GOMAXPROCS grows.
 
 // MemoStats reports a memoized function's reuse behavior. The fields are
 // updated atomically by the wrapper; while the wrapper may still be
@@ -109,20 +110,13 @@ func memoShardCount() int {
 	return s
 }
 
-// inflightCall is one singleflight computation: the leader closes done
-// after storing val, and every waiter reads val afterwards.
-type inflightCall[V any] struct {
-	done chan struct{}
-	val  V
-}
-
 // memoShard is one lock stripe of a memoized function's table, padded to
 // a cache line so neighboring stripes do not false-share.
 type memoShard[K comparable, V any] struct {
-	mu       sync.RWMutex
-	vals     map[K]V
-	inflight map[K]*inflightCall[V]
-	_        [24]byte
+	mu      sync.RWMutex
+	vals    map[K]V
+	flights flightTable
+	_       [24]byte
 }
 
 // Memoized is the handle behind Memo: the sharded singleflight reuse
@@ -143,9 +137,11 @@ type Memoized[K comparable, V any] struct {
 // unbounded reuse table ("optimal" sizing in the paper's terms: the
 // table holds every distinct input). The wrapper is safe for concurrent
 // use: probes are striped over sharded locks, and concurrent callers
-// with the same key share one computation of f (singleflight) — the
-// duplicates count as hits, since they are served from another caller's
-// work.
+// with the same key wait for one computation of f (singleflight) and
+// then read its stored value — the duplicates count as hits, since they
+// are served from another caller's work. A panic in f propagates to its
+// caller and releases the key: the waiting callers find no value and
+// each run f themselves.
 func NewMemoized[K comparable, V any](f func(K) V) *Memoized[K, V] {
 	m := &Memoized[K, V]{
 		f:      f,
@@ -155,7 +151,6 @@ func NewMemoized[K comparable, V any](f func(K) V) *Memoized[K, V] {
 	m.mask = uint64(len(m.shards) - 1)
 	for i := range m.shards {
 		m.shards[i].vals = map[K]V{}
-		m.shards[i].inflight = map[K]*inflightCall[V]{}
 	}
 	return m
 }
@@ -164,7 +159,8 @@ func NewMemoized[K comparable, V any](f func(K) V) *Memoized[K, V] {
 // was served without running f in this goroutine.
 func (m *Memoized[K, V]) call(k K) (v V, hit bool) {
 	atomic.AddInt64(&m.stats.Calls, 1)
-	sh := &m.shards[maphash.Comparable(m.seed, k)&m.mask]
+	h := maphash.Comparable(m.seed, k)
+	sh := &m.shards[h&m.mask]
 
 	// Fast path: shared-lock probe.
 	sh.mu.RLock()
@@ -175,33 +171,40 @@ func (m *Memoized[K, V]) call(k K) (v V, hit bool) {
 		return v, true
 	}
 
-	// Slow path: re-probe under the write lock, then either join an
-	// in-flight computation or become its leader.
-	sh.mu.Lock()
-	if v, ok := sh.vals[k]; ok {
+	// Slow path: re-probe under the write lock, then lead the key's
+	// flight, or wait it out once and probe again (see flightTable).
+	for waited := false; ; waited = true {
+		sh.mu.Lock()
+		if v, ok := sh.vals[k]; ok {
+			sh.mu.Unlock()
+			atomic.AddInt64(&m.stats.Hits, 1)
+			return v, true
+		}
+		var fl *flight
+		if !waited {
+			var wait <-chan struct{}
+			if fl, wait = sh.flights.join(h); wait != nil {
+				sh.mu.Unlock()
+				<-wait
+				continue
+			}
+		}
 		sh.mu.Unlock()
-		atomic.AddInt64(&m.stats.Hits, 1)
-		return v, true
+		return m.lead(sh, k, fl), false
 	}
-	if c, ok := sh.inflight[k]; ok {
-		sh.mu.Unlock()
-		<-c.done
-		atomic.AddInt64(&m.stats.Hits, 1)
-		return c.val, true
-	}
-	c := &inflightCall[V]{done: make(chan struct{})}
-	sh.inflight[k] = c
-	sh.mu.Unlock()
+}
 
-	c.val = m.f(k)
-
+// lead runs f for k and stores the value, landing flight fl (nil when
+// the caller has none) with the store — or, if f panics, on the way out.
+func (m *Memoized[K, V]) lead(sh *memoShard[K, V], k K, fl *flight) V {
+	defer sh.flights.release(&sh.mu, fl)
+	v := m.f(k)
 	sh.mu.Lock()
-	sh.vals[k] = c.val
-	delete(sh.inflight, k)
+	sh.vals[k] = v
+	sh.flights.land(fl)
 	sh.mu.Unlock()
 	atomic.AddInt64(&m.stats.Distinct, 1)
-	close(c.done)
-	return c.val, false
+	return v
 }
 
 // Call invokes the memoized function.

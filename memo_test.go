@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestMemoSingleflight asserts f runs exactly once per distinct in-flight
@@ -48,6 +49,41 @@ func TestMemoSingleflight(t *testing.T) {
 	st := stats.Snapshot()
 	if st.Calls != callers || st.Distinct != 1 || st.Hits != callers-1 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestMemoizedPanicReleasesKey: a panic in f must propagate to its
+// caller and release the key. A flight left open by the panicking
+// leader would park every later Call of the key forever.
+func TestMemoizedPanicReleasesKey(t *testing.T) {
+	var calls atomic.Int64
+	m := NewMemoized(func(x int) int {
+		if calls.Add(1) == 1 {
+			panic("f exploded")
+		}
+		return x + 1
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "f exploded" {
+				t.Fatalf("first Call recovered %v, want the panic of f", r)
+			}
+		}()
+		m.Call(7)
+	}()
+
+	got := make(chan int, 1)
+	go func() { got <- m.Call(7) }()
+	select {
+	case v := <-got:
+		if v != 8 {
+			t.Fatalf("second Call = %d, want 8", v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("second Call of the key still parked 10s after the leader panicked")
+	}
+	if st := m.Stats(); st.Calls != 2 || st.Hits != 0 || st.Distinct != 1 {
+		t.Fatalf("stats %+v, want 2 calls, 0 hits, 1 distinct", st)
 	}
 }
 

@@ -482,8 +482,9 @@ func (s *RemoteSegment) Get(key []byte) ([]uint64, GetStatus, error) {
 // node along the ring. A dead primary therefore costs one failed round
 // trip at most (nothing at all once it is marked down), and the
 // replicas answer with the same data the PUT fanned out. Concurrent
-// probes for one key share a round trip, and the returned slice is
-// owned by the caller. When tr is sampled a fleet records a "pool.get"
+// probes for one key share at most an MGET frame (the tiered memos
+// coalesce their misses before they get here), and the returned slice
+// is owned by the caller. When tr is sampled a fleet records a "pool.get"
 // span whose hops annotation counts the failover walk, and the per-node
 // probe (an "rpc.get" child) carries the trace id to whichever node
 // answered.

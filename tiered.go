@@ -1,6 +1,7 @@
 package compreuse
 
 import (
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,12 +57,14 @@ type TieredMemo struct {
 	seg   remoteCache
 	stats tierCounters
 
-	// sf deduplicates concurrent misses on one key: the first caller
-	// (the leader) does the remote GET and, on a fleet-wide miss, the
-	// compute; everyone else waits for the leader's value — one round
-	// trip and one computation per in-flight key, not one per caller.
-	sfMu sync.Mutex
-	sf   map[string]*tieredCall
+	// flights deduplicates concurrent misses on one key, by a maphash
+	// of its bytes: the first caller (the leader) does the remote GET
+	// and, on a fleet-wide miss, the compute; everyone else waits for it
+	// and re-probes L1 — one round trip and one computation per
+	// in-flight key, not one per caller.
+	seed    maphash.Seed
+	sfMu    sync.Mutex
+	flights flightTable
 }
 
 // remoteCache is the L2 surface the tiered memos drive: a
@@ -73,16 +76,6 @@ type remoteCache interface {
 	PutTraced(key []byte, vals []uint64, cost time.Duration, tr obs.TraceCtx) error
 	Stats() (RemoteStats, error)
 	Flush() error
-}
-
-// tieredCall is one in-flight Do: the leader closes done after storing
-// val, and every follower reads val afterwards. ok is set only on
-// normal completion — a follower that wakes to !ok knows the leader
-// panicked and retries instead of returning the zero value.
-type tieredCall struct {
-	done chan struct{}
-	val  uint64
-	ok   bool
 }
 
 // tierCounters are a tiered memo's where-served counters, in TieredStats
@@ -158,7 +151,8 @@ func newTieredMemo(seg remoteCache, cfg TieredMemoConfig) *TieredMemo {
 			LRU:     cfg.L1LRU,
 			Shards:  cfg.L1Shards,
 		}),
-		seg: seg,
+		seg:  seg,
+		seed: maphash.MakeSeed(),
 	}
 }
 
@@ -168,8 +162,9 @@ func newTieredMemo(seg remoteCache, cfg TieredMemoConfig) *TieredMemo {
 // never fails: remote errors are counted and absorbed by computing
 // locally. Safe for concurrent use; concurrent misses on one key
 // singleflight — one remote GET and at most one compute run however
-// many callers pile onto the key — and the followers count as L1 hits,
-// since they are served from another caller's in-flight work.
+// many callers pile onto the key — and the followers, which re-probe L1
+// once the leader is done, count as L1 hits, since they are served from
+// another caller's work.
 func (t *TieredMemo) Do(key []byte, compute func() uint64) uint64 {
 	// The root span of the request's trace. With tracing disabled (the
 	// default) StartRoot is one atomic load returning an inert zero Span
@@ -184,56 +179,36 @@ func (t *TieredMemo) Do(key []byte, compute func() uint64) uint64 {
 		return v
 	}
 
-	ks := string(key)
-	for {
-		t.sfMu.Lock()
-		if c, ok := t.sf[ks]; ok {
-			t.sfMu.Unlock()
-			<-c.done
-			if !c.ok {
-				// The leader's compute panicked; its val is garbage.
-				// Retry — this follower likely becomes the next leader
-				// and runs (or panics out of) its own compute.
-				continue
-			}
+	t.sfMu.Lock()
+	fl, wait := t.flights.join(maphash.Bytes(t.seed, key))
+	t.sfMu.Unlock()
+	if wait != nil {
+		// Another caller's flight holds the key: wait it out and
+		// re-probe L1. A caller that still misses (the leader panicked,
+		// or its value was evicted) takes the miss path without a
+		// flight of its own.
+		<-wait
+		if v, ok := t.l1.Lookup(key); ok {
 			t.stats[tsL1Hits].Add(1)
 			root.Outcome("coalesced")
 			root.End()
-			return c.val
+			return v
 		}
-		c := &tieredCall{done: make(chan struct{})}
-		if t.sf == nil {
-			t.sf = map[string]*tieredCall{}
-		}
-		t.sf[ks] = c
-		t.sfMu.Unlock()
-
-		// Delete-and-close runs in a defer: compute is user code and may
-		// panic, and a leaked map entry with an unclosed done would park
-		// every follower (and every future caller of this key) forever.
-		// The panic is not recovered — it propagates to the leader's
-		// caller, exactly as an un-memoized compute() would.
-		func() {
-			defer func() {
-				t.sfMu.Lock()
-				delete(t.sf, ks)
-				t.sfMu.Unlock()
-				close(c.done)
-			}()
-			c.val = t.doMiss(key, compute, &root)
-			c.ok = true
-		}()
-		root.End()
-		return c.val
 	}
+	v := t.doMiss(key, compute, fl, &root)
+	root.End()
+	return v
 }
 
-// doMiss is the leader's slow path: L2 probe, then compute, recording
-// the result in both tiers. root is the request's trace span: the L2
-// probe and PUT stitch into it across the wire, the compute becomes a
-// child span, and the root's outcome records which level served the
-// request.
-func (t *TieredMemo) doMiss(key []byte, compute func() uint64, root *obs.Span) uint64 {
+// doMiss is the slow path: L2 probe, then compute, recording the
+// result in both tiers, then landing the caller's flight fl (nil when it
+// has none). The landing is deferred: compute is user code and may
+// panic, and the panic propagates to the caller, as an un-memoized
+// compute's would. root is the request's trace span: the L2 probe and
+// PUT stitch into it across the wire, the compute becomes a child span,
+// and the root's outcome records which level served the request.
+func (t *TieredMemo) doMiss(key []byte, compute func() uint64, fl *flight, root *obs.Span) uint64 {
+	defer t.flights.release(&t.sfMu, fl)
 	vals, status, err := t.seg.GetTraced(key, root.Context())
 	hit, publish := t.stats.l2Answer(vals, status, err, root)
 	if hit {
