@@ -91,16 +91,17 @@ fleet:
 	$(GO) run ./cmd/crcbench fleet
 
 # fleet-smoke is the CI failover smoke: kill-one-node with zero failed
-# Do calls, single-node restart recovery, redial-after-close, ring
-# balance, snapshot round-trips — all under the race detector.
+# Do calls, single-node restart recovery, a server-answered error that
+# marks no node down, redial-after-close, ring balance, snapshot
+# round-trips — all under the race detector.
 fleet-smoke:
-	$(GO) test -race -count=1 -run 'TestRingFailover|TestRingOfOne|TestRingOfOneRecoversAfterRestart|TestRedialAfterCloseLeaksNoClient|TestRingBalance|TestFleetDemo|TestSnapshot|TestShutdownWritesFinalSnapshot' -v . ./cmd/crcbench/ ./internal/reused/
+	$(GO) test -race -count=1 -run 'TestRingFailover|TestRingOfOne|TestRingOfOneRecoversAfterRestart|TestRingProtocolErrorSurfaces|TestRedialAfterCloseLeaksNoClient|TestRingBalance|TestFleetDemo|TestSnapshot|TestShutdownWritesFinalSnapshot' -v . ./cmd/crcbench/ ./internal/reused/
 
 # flights repeats every singleflight and leader-panic test of the
 # reuse runtime (Memoized, TieredMemo, DepMemo, TieredDepMemo and their
 # oracles) 20 times under the race detector: these paths park and wake
 # goroutines, so one pass proves little.
-FLIGHT_TESTS = ^(TestMemoSingleflight|TestMemoSingleflightDistinctKeys|TestMemoizedPanicReleasesKey|TestTieredMemoSingleflight|TestTieredPanicPropagatesAndFollowersRetry|TestDepMemoSingleflight|TestDepMemoSingleflightPanic|TestTieredDepMemoSingleflight|TestTieredDepMemoConcurrentGhosts|TestDepMemoOracle|TestTieredMemoOracle|TestTieredDepMemoOracle)$$
+FLIGHT_TESTS = ^(TestMemoSingleflight|TestMemoSingleflightDistinctKeys|TestMemoizedPanicReleasesKey|TestTieredMemoSingleflight|TestTieredPanicPropagatesAndFollowersRetry|TestTieredMemoFollowersSkipLeaderPut|TestDepMemoSingleflight|TestDepMemoSingleflightPanic|TestTieredDepMemoSingleflight|TestTieredDepMemoConcurrentGhosts|TestDepMemoOracle|TestTieredMemoOracle|TestTieredDepMemoOracle)$$
 
 flights:
 	$(GO) test -race -count=20 -run '$(FLIGHT_TESTS)' . ./internal/reused/

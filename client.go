@@ -298,17 +298,6 @@ func (f *flights) land() []*queuedCall {
 	return batch
 }
 
-// drain flies batch and then every batch that queued behind it, until a
-// landing finds the queue empty and frees the slot.
-func (f *flights) drain(batch []*queuedCall, fly func([]*queuedCall)) {
-	for ; batch != nil; batch = f.land() {
-		fly(batch)
-		for _, qc := range batch {
-			close(qc.done)
-		}
-	}
-}
-
 // takeoff stamps a batch's traced calls with their queue wait and frame
 // size, and returns the trace id the frame carries: the first traced
 // member wins (one frame can only carry one id; the others' spans still
@@ -377,42 +366,56 @@ func (s GetStatus) String() string {
 	}
 }
 
-// getTraced probes the node's shared table; the returned slice is owned
-// by the caller. Concurrent probes share at most an MGET frame: they
-// are not deduplicated by key (see nodeClient). When tr is sampled the
-// probe records an "rpc.get" span and stamps the trace id onto the wire
-// frame (wire.FlagTraced), so the serving node's span stitches into the
-// same trace; an unsampled context costs two branches.
-func (s *nodeSegment) getTraced(key []byte, tr obs.TraceCtx) ([]uint64, GetStatus, error) {
-	sp := obs.StartSpan(tr, "rpc.get")
-	vals, status, err := s.get(key, &sp)
-	if err != nil {
+// rpc flies one GET (op wire.OpGet) or PUT (wire.OpPut) of key on the
+// node and returns a GET's status and, on a hit, its outputs, owned by
+// the caller. A PUT records vals with the measured computation cost.
+// Both directions fly alike: a known-bypassed segment short-circuits
+// (every bypassRecheck-th call, GET or PUT, goes to the server anyway,
+// so readmission is noticed even when the traffic is all PUTs); a call
+// that finds a connection slot free flies inline from its caller's
+// goroutine; one that finds every slot taken queues and rides in the
+// MGET or MPUT of the next flight to land, each record carrying its own
+// cost. Concurrent GETs are not deduplicated by key (see nodeClient).
+// When tr is sampled the call records an "rpc.get" or "rpc.put" span
+// and stamps the trace id onto the wire frame (wire.FlagTraced), so the
+// serving node's span stitches into the same trace; an unsampled
+// context costs two branches.
+func (s *nodeSegment) rpc(op wire.Op, key []byte, vals []uint64, cost time.Duration, tr obs.TraceCtx) ([]uint64, GetStatus, error) {
+	name := "rpc.get"
+	if op == wire.OpPut {
+		name = "rpc.put"
+	}
+	sp := obs.StartSpan(tr, name)
+	vals, status, err := s.fly(op, key, vals, cost, &sp)
+	switch {
+	case err != nil:
 		sp.Outcome("err")
-	} else {
+	case op == wire.OpPut:
+		sp.Outcome("ok")
+	default:
 		sp.Outcome(status.String())
 	}
 	sp.End()
 	return vals, status, err
 }
 
-// get flies one probe: inline while a connection is free, otherwise in
-// the MGET of the next flight to land.
-func (s *nodeSegment) get(key []byte, sp *obs.Span) ([]uint64, GetStatus, error) {
-	// Short-circuit a known-bypassed segment, revalidating every
-	// bypassRecheck calls so readmission is noticed.
+// fly is rpc's flight path, annotating sp with the call's queue wait
+// and frame size.
+func (s *nodeSegment) fly(op wire.Op, key []byte, vals []uint64, cost time.Duration, sp *obs.Span) ([]uint64, GetStatus, error) {
 	if s.bypassed.Load() && s.sinceByp.Add(1)%bypassRecheck != 0 {
-		return nil, Bypass, nil
+		return nil, Bypass, nil // the governor said stop; don't pay the round trip
 	}
+	fl := s.lane(op)
 	tid := sp.TraceID()
-	qc := s.gets.enter(len(s.c.conns), key, nil, 0, tid)
+	qc := fl.enter(len(s.c.conns), key, vals, cost, tid)
 	if qc == nil {
 		annotate(sp, 0, 1)
-		vals, status, err := s.getOne(key, tid)
-		// Probes that queued behind this one leave at once, from a
-		// flight loop of their own: the caller does not wait out their
-		// round trip.
-		if batch := s.gets.land(); batch != nil {
-			go s.gets.drain(batch, s.flyGets)
+		vals, status, err := s.one(op, key, vals, cost, tid)
+		// Calls that queued behind this one leave at once, from a flight
+		// loop of their own: the caller does not wait out their round
+		// trip.
+		if batch := fl.land(); batch != nil {
+			go s.drain(op, batch)
 		}
 		return vals, status, err
 	}
@@ -421,154 +424,105 @@ func (s *nodeSegment) get(key []byte, sp *obs.Span) ([]uint64, GetStatus, error)
 	return qc.vals, qc.status, qc.err
 }
 
-// flyGets flies a queued batch: a batch of one as a plain GET (identical
-// wire cost to an inline probe), larger batches as one MGET.
-func (s *nodeSegment) flyGets(batch []*queuedCall) {
-	tid := takeoff(batch)
-	if len(batch) == 1 {
-		qc := batch[0]
-		qc.vals, qc.status, qc.err = s.getOne(qc.key, tid)
-		return
+// lane returns op's flights: GETs and PUTs are independent (a GET flight
+// does not delay PUTs).
+func (s *nodeSegment) lane(op wire.Op) *flights {
+	if op == wire.OpPut {
+		return &s.puts
 	}
-	req := &wire.Frame{Op: wire.OpMGet, Seg: s.id,
-		Cost: uint64(s.c.rttNS.Load()), Items: make([]wire.Item, len(batch))}
-	req.SetTrace(tid)
-	for i, qc := range batch {
-		req.Items[i].Key = qc.key
-	}
-	resp, err := s.c.call(req)
-	switch {
-	case err != nil:
+	return &s.gets
+}
+
+// drain flies batch and then every batch that queued behind it, until a
+// landing finds the queue empty and frees the slot.
+func (s *nodeSegment) drain(op wire.Op, batch []*queuedCall) {
+	for ; batch != nil; batch = s.lane(op).land() {
+		s.flyBatch(op, batch)
 		for _, qc := range batch {
-			qc.status, qc.err = Miss, err
-		}
-	case resp.Flags&wire.FlagBypass != 0:
-		s.bypassed.Store(true)
-		for _, qc := range batch {
-			qc.status = Bypass
-		}
-	case len(resp.Items) != len(batch):
-		err := fmt.Errorf("mget %q: %d response items, want %d",
-			s.name, len(resp.Items), len(batch))
-		for _, qc := range batch {
-			qc.status, qc.err = Miss, err
-		}
-	default:
-		s.bypassed.Store(false)
-		for i, qc := range batch {
-			// The response frame is owned by this flight (the read loop
-			// decodes each response into a fresh frame), so items hand
-			// their Vals over without a copy.
-			if it := &resp.Items[i]; it.Flags&wire.FlagHit != 0 {
-				qc.status, qc.vals = Hit, it.Vals
-			} else {
-				qc.status = Miss
-			}
+			close(qc.done)
 		}
 	}
 }
 
-// getOne is the single-probe wire exchange.
-func (s *nodeSegment) getOne(key []byte, tid uint64) ([]uint64, GetStatus, error) {
-	req := &wire.Frame{Op: wire.OpGet, Seg: s.id, Key: key,
-		Cost: uint64(s.c.rttNS.Load())}
+// flyBatch flies a queued batch: a batch of one as a plain GET or PUT
+// (identical wire cost to an inline call), larger batches as one MGET or
+// MPUT.
+func (s *nodeSegment) flyBatch(op wire.Op, batch []*queuedCall) {
+	tid := takeoff(batch)
+	if len(batch) == 1 {
+		qc := batch[0]
+		qc.vals, qc.status, qc.err = s.one(op, qc.key, qc.vals, qc.cost, tid)
+		return
+	}
+	req := &wire.Frame{Op: wire.OpMGet, Seg: s.id, Items: make([]wire.Item, len(batch))}
+	if op == wire.OpPut {
+		req.Op = wire.OpMPut
+	} else {
+		req.Cost = uint64(s.c.rttNS.Load())
+	}
+	req.SetTrace(tid)
+	for i, qc := range batch {
+		req.Items[i].Key = qc.key
+		if op == wire.OpPut {
+			req.Items[i].Vals, req.Items[i].Cost = qc.vals, uint64(qc.cost.Nanoseconds())
+		}
+	}
+	resp, err := s.c.call(req)
+	var status GetStatus
+	if err == nil {
+		status = s.verdict(resp.Flags)
+		if op == wire.OpGet && status == Miss && len(resp.Items) != len(batch) {
+			err = fmt.Errorf("mget %q: %d response items, want %d",
+				s.name, len(resp.Items), len(batch))
+		}
+	}
+	for i, qc := range batch {
+		qc.status, qc.err = status, err
+		// The response frame is owned by this flight (the read loop
+		// decodes each response into a fresh frame), so items hand their
+		// Vals over without a copy.
+		if op == wire.OpGet && status == Miss && err == nil && resp.Items[i].Flags&wire.FlagHit != 0 {
+			qc.status, qc.vals = Hit, resp.Items[i].Vals
+		}
+	}
+}
+
+// one is the single-call wire exchange: a plain GET, whose Cost carries
+// the smoothed RTT (the server's overhead O), or a plain PUT, whose Cost
+// carries the measured computation cost C.
+func (s *nodeSegment) one(op wire.Op, key []byte, vals []uint64, cost time.Duration, tid uint64) ([]uint64, GetStatus, error) {
+	req := &wire.Frame{Op: op, Seg: s.id, Key: key, Vals: vals, Cost: uint64(cost.Nanoseconds())}
+	if op == wire.OpGet {
+		req.Cost = uint64(s.c.rttNS.Load())
+	}
 	req.SetTrace(tid)
 	resp, err := s.c.call(req)
 	if err != nil {
 		return nil, Miss, err
 	}
+	status := s.verdict(resp.Flags)
+	if status != Hit {
+		return nil, status, nil
+	}
+	return resp.Vals, Hit, nil
+}
+
+// verdict reads a GET or PUT response's flags and tracks the admission
+// verdict both ways: a BYPASS answer arms the local short-circuit, and
+// any other answer clears a stale one (the server has readmitted the
+// segment).
+func (s *nodeSegment) verdict(flags uint8) GetStatus {
 	switch {
-	case resp.Flags&wire.FlagBypass != 0:
+	case flags&wire.FlagBypass != 0:
 		s.bypassed.Store(true)
-		return nil, Bypass, nil
-	case resp.Flags&wire.FlagHit != 0:
+		return Bypass
+	case flags&wire.FlagHit != 0:
 		s.bypassed.Store(false)
-		return resp.Vals, Hit, nil
+		return Hit
 	default:
 		s.bypassed.Store(false)
-		return nil, Miss, nil
+		return Miss
 	}
-}
-
-// putTraced records the outputs computed for key on the node, with the
-// measured computation cost. It flies like a GET: inline while a
-// connection is free, otherwise in the MPUT of the next flight to land,
-// each record carrying its own cost. When tr is sampled it records an
-// "rpc.put" span and the frame carries the trace id (see getTraced).
-func (s *nodeSegment) putTraced(key []byte, vals []uint64, cost time.Duration, tr obs.TraceCtx) error {
-	sp := obs.StartSpan(tr, "rpc.put")
-	err := s.doPut(key, vals, cost, &sp)
-	if err != nil {
-		sp.Outcome("err")
-	} else {
-		sp.Outcome("ok")
-	}
-	sp.End()
-	return err
-}
-
-func (s *nodeSegment) doPut(key []byte, vals []uint64, cost time.Duration, sp *obs.Span) error {
-	// Short-circuit a known-bypassed segment with the same periodic
-	// revalidation as Get: every bypassRecheck-th Put goes to the server
-	// anyway. Without the probe, a segment whose traffic is Put-heavy
-	// (or whose Gets dried up) would stay locally bypassed forever after
-	// a server-side readmission and silently drop records.
-	if s.bypassed.Load() && s.sinceByp.Add(1)%bypassRecheck != 0 {
-		return nil // the governor said stop; don't pay the round trip
-	}
-	tid := sp.TraceID()
-	qc := s.puts.enter(len(s.c.conns), key, vals, cost, tid)
-	if qc == nil {
-		annotate(sp, 0, 1)
-		err := s.putOne(key, vals, cost, tid)
-		if batch := s.puts.land(); batch != nil {
-			go s.puts.drain(batch, s.flyPuts)
-		}
-		return err
-	}
-	<-qc.done
-	annotate(sp, qc.queued, qc.batch)
-	return qc.err
-}
-
-// flyPuts mirrors flyGets for records.
-func (s *nodeSegment) flyPuts(batch []*queuedCall) {
-	tid := takeoff(batch)
-	if len(batch) == 1 {
-		qc := batch[0]
-		qc.err = s.putOne(qc.key, qc.vals, qc.cost, tid)
-		return
-	}
-	req := &wire.Frame{Op: wire.OpMPut, Seg: s.id,
-		Items: make([]wire.Item, len(batch))}
-	req.SetTrace(tid)
-	for i, qc := range batch {
-		req.Items[i] = wire.Item{Key: qc.key, Vals: qc.vals,
-			Cost: uint64(qc.cost.Nanoseconds())}
-	}
-	err := s.acked(s.c.call(req))
-	for _, qc := range batch {
-		qc.err = err
-	}
-}
-
-// putOne is the single-record wire exchange.
-func (s *nodeSegment) putOne(key []byte, vals []uint64, cost time.Duration, tid uint64) error {
-	req := &wire.Frame{Op: wire.OpPut, Seg: s.id,
-		Key: key, Vals: vals, Cost: uint64(cost.Nanoseconds())}
-	req.SetTrace(tid)
-	return s.acked(s.c.call(req))
-}
-
-// acked tracks a PUT's admission verdict both ways: a non-bypass
-// acknowledgement clears a stale local bypass flag (the server has
-// readmitted the segment), so the Put path revalidates symmetrically
-// with the Get path.
-func (s *nodeSegment) acked(resp wire.Frame, err error) error {
-	if err == nil {
-		s.bypassed.Store(resp.Flags&wire.FlagBypass != 0)
-	}
-	return err
 }
 
 // flush empties the segment's table on the node and resets its

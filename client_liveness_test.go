@@ -2,6 +2,7 @@ package compreuse
 
 import (
 	"fmt"
+	"hash/maphash"
 	"net"
 	"path/filepath"
 	"runtime"
@@ -335,6 +336,85 @@ func TestTieredPanicPropagatesAndFollowersRetry(t *testing.T) {
 	done := make(chan struct{})
 	go func() { tm.Do(key, func() uint64 { return 7 }); close(done) }()
 	waitOrFatal(t, done, 10*time.Second, "Do after panic recovery blocked")
+}
+
+// blockingPut is an L2 that misses every GET and holds every PUT until
+// release closes, announcing each PUT on started.
+type blockingPut struct {
+	fakeRemote
+	started chan struct{}
+	release chan struct{}
+}
+
+func (b *blockingPut) PutTraced(key []byte, vals []uint64, cost time.Duration, _ obs.TraceCtx) error {
+	b.started <- struct{}{}
+	<-b.release
+	return nil
+}
+
+// TestTieredMemoFollowersSkipLeaderPut: a leader lands its flight once
+// the computed value is in L1, before it publishes, so a follower that
+// joined the flight is served while the leader's PUT is still in the
+// air. The historical bug landed the flight only after the synchronous
+// PUT returned, so followers waited out the leader's PUT reply.
+func TestTieredMemoFollowersSkipLeaderPut(t *testing.T) {
+	l2 := &blockingPut{started: make(chan struct{}, 1), release: make(chan struct{})}
+	tm := newTieredMemo(l2, TieredMemoConfig{Name: "skip-put"})
+	key := []byte("the-key")
+
+	leaderIn := make(chan struct{}) // closed once the leader is inside compute
+	proceed := make(chan struct{})  // closed to let the leader's compute return
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		tm.Do(key, func() uint64 {
+			close(leaderIn)
+			<-proceed
+			return 42
+		})
+	}()
+	<-leaderIn
+
+	followerDone := make(chan struct{})
+	var got uint64
+	go func() {
+		defer close(followerDone)
+		got = tm.Do(key, func() uint64 { return 7 })
+	}()
+	// A follower's join makes the flight's done channel: wait for it, so
+	// the follower is parked on the flight, not racing the leader to L1.
+	h := maphash.Bytes(tm.seed, key)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		tm.sfMu.Lock()
+		fl := tm.flights[h]
+		joined := fl != nil && fl.done != nil
+		tm.sfMu.Unlock()
+		if joined {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("follower never joined the leader's flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	close(proceed)
+	waitOrFatal(t, l2.started, 10*time.Second, "leader never published")
+	select {
+	case <-followerDone:
+	case <-time.After(10 * time.Second):
+		close(l2.release)
+		t.Fatal("follower still waiting on the leader's PUT")
+	}
+	if got != 42 {
+		t.Errorf("follower got %d, want the leader's 42", got)
+	}
+	close(l2.release)
+	waitOrFatal(t, leaderDone, 10*time.Second, "leader never returned")
+	if st := tm.Stats(); st.Computes != 1 || st.L1Hits != 1 {
+		t.Errorf("stats %+v, want 1 compute and 1 L1 hit (the coalesced follower)", st)
+	}
 }
 
 // TestObserveRTTConcurrent hammers the RTT estimator from many

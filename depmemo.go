@@ -4,7 +4,6 @@ import (
 	"hash/maphash"
 	"math"
 	"sync"
-	"time"
 
 	"compreuse/internal/depmemo"
 	"compreuse/internal/obs"
@@ -536,9 +535,8 @@ type TieredDepStats struct {
 // TieredMemo's conventions: atomic counters, a "tiered_dep.do" root
 // span over the traced GET and PUT, and a Reset that drops both tiers.
 type TieredDepMemo struct {
-	dm    *DepMemo
-	seg   remoteCache
-	stats tierCounters
+	remoteTier
+	dm *DepMemo
 }
 
 // NewTieredDepMemo registers the segment on the client's nodes and
@@ -556,7 +554,7 @@ func newTieredDepMemo(seg remoteCache, cfg TieredDepMemoConfig) *TieredDepMemo {
 	if budget <= 0 {
 		budget = 4096
 	}
-	t := &TieredDepMemo{seg: seg}
+	t := &TieredDepMemo{remoteTier: remoteTier{seg: seg}}
 	t.dm = newDepMemo(DepConfig{Name: cfg.Name, Budget: budget, FloatTolerance: cfg.FloatTolerance}, true)
 	t.dm.tier = t
 	return t
@@ -580,45 +578,33 @@ func (t *TieredDepMemo) Do(in *DepInputs, compute func(*Dep) uint64) uint64 {
 	return v
 }
 
-// miss is the flight leader's slow path (see DepMemo.miss): a ghost's
-// key asks L2 first and a hit refills the trie; otherwise the compute
-// runs, records, and publishes under the canonical dependence key —
-// after a clean Miss, or when no GET was made. The PUT follows the
-// flight's landing, so followers do not wait on it.
+// miss is the flight leader's slow path (see DepMemo.miss): the shared
+// L2 leg, asking by a ghost's key when the probe matched one. An L2 hit
+// refills the trie; a computed result records under its footprint and
+// publishes under the canonical dependence key. Either way the flight
+// lands with the trie write, before any PUT.
 func (t *TieredDepMemo) miss(in *DepInputs, compute func(*Dep) uint64, r depmemo.Result, fl *flight, root *obs.Span) uint64 {
 	m := t.dm
-	publish := true
-	if r.Ghost {
-		vals, status, err := t.seg.GetTraced(r.Key, root.Context())
-		var hit bool
-		if hit, publish = t.stats.l2Answer(vals, status, err, root); hit {
+	var d *Dep
+	return t.leg(r.Key, r.Ghost, root, func() uint64 {
+		d = m.getDep(in)
+		return compute(d)
+	}, func(v uint64, publish bool) (key []byte) {
+		if d == nil {
+			// compute never ran: v is an L2 hit for the ghost.
 			m.mu.Lock()
-			m.tab.Refill(r, r.Key, vals[:1])
+			m.tab.Refill(r, r.Key, []uint64{v})
 			m.flights.land(fl)
 			m.mu.Unlock()
-			return vals[0]
+			return nil
 		}
-	} else {
-		root.Outcome("compute")
-	}
-
-	t.stats[tsComputes].Add(1)
-	d := m.getDep(in)
-	csp := obs.StartSpan(root.Context(), "compute")
-	start := time.Now()
-	v := compute(d)
-	cost := time.Since(start)
-	csp.End()
-	var key []byte
-	if publish {
-		key = depmemo.EncodeSteps(nil, d.path)
-	}
-	m.land(d, v, fl)
-	m.putDep(d)
-	if publish {
-		t.stats.publish(t.seg, key, v, cost, root)
-	}
-	return v
+		if publish {
+			key = depmemo.EncodeSteps(nil, d.path)
+		}
+		m.land(d, v, fl)
+		m.putDep(d)
+		return key
+	})
 }
 
 // Stats returns a snapshot of the tier counters.
@@ -642,6 +628,5 @@ func (t *TieredDepMemo) Local() DepStats { return t.dm.Stats() }
 // also readmits it).
 func (t *TieredDepMemo) Reset() error {
 	t.dm.Reset()
-	t.stats.reset()
-	return t.seg.Flush()
+	return t.remoteTier.reset()
 }

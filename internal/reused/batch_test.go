@@ -2,6 +2,7 @@ package reused_test
 
 import (
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -128,6 +129,103 @@ func TestBatchWire(t *testing.T) {
 	if resp := c.roundTrip(&wire.Frame{Op: wire.OpMGet, Seq: 7, Seg: seg + 99,
 		Items: []wire.Item{{Key: key(0)}}}); resp.Flags&wire.FlagErr == 0 {
 		t.Error("mget on unknown segment accepted, want error")
+	}
+
+	// A single op and a batch of one answer alike: GET vs a one-item
+	// MGET, PUT vs a one-item MPUT, each on its own twin segment, give
+	// the same flags, values and error text, and leave the twins' STATS
+	// equal, in every case. The governor closes a window every 2
+	// probes: the first (a hit and a miss, large C) keeps the twins
+	// admitted, the second (two misses) bypasses both.
+	_, addr = startServer(t, reused.Config{Governor: reused.GovernorConfig{Window: 2}})
+	c = dialRaw(t, addr)
+	seq := uint64(0)
+	send := func(f *wire.Frame) *wire.Frame {
+		seq++
+		f.Seq = seq
+		return c.roundTrip(f)
+	}
+	twin := func(name string) uint32 {
+		resp := send(&wire.Frame{Op: wire.OpHello, Name: name, Vals: []uint64{0, 0, 2}})
+		if resp.Flags&wire.FlagErr != 0 {
+			t.Fatalf("hello %s failed: %s", name, resp.Name)
+		}
+		return resp.Seg
+	}
+	single, batch := twin("single"), twin("batch")
+	type answer struct {
+		Flags uint8
+		Vals  []uint64
+		Err   string
+	}
+	// read folds a batch of one's item into the frame-level answer.
+	read := func(resp *wire.Frame) answer {
+		a := answer{Flags: resp.Flags, Vals: resp.Vals, Err: resp.Name}
+		switch len(resp.Items) {
+		case 0:
+		case 1:
+			a.Flags |= resp.Items[0].Flags
+			a.Vals = resp.Items[0].Vals
+		default:
+			t.Fatalf("%v answered %d items for one", resp.Op, len(resp.Items))
+		}
+		if len(a.Vals) == 0 {
+			a.Vals = nil
+		}
+		return a
+	}
+	// stats reads a twin's STATS vector; O is a measured latency, so it
+	// is left out.
+	stats := func(seg uint32) []uint64 {
+		v := append([]uint64(nil), send(&wire.Frame{Op: wire.OpStats, Seg: seg}).Vals...)
+		if len(v) != wire.StatsLen {
+			t.Fatalf("stats: %d vals, want %d", len(v), wire.StatsLen)
+		}
+		v[wire.StatsO] = 0
+		return v
+	}
+	const rtt, cost = 1000, uint64(time.Second)
+	for _, tc := range []struct {
+		name    string
+		op      wire.Op // OpGet or OpPut
+		unknown bool    // address a segment id the server never issued
+		key     int
+		vals    []uint64
+		want    uint8 // the answer's flags besides FlagResp
+	}{
+		{name: "put", op: wire.OpPut, key: 0, vals: []uint64{1, 2}},
+		{name: "hit", op: wire.OpGet, key: 0, want: wire.FlagHit},
+		{name: "miss", op: wire.OpGet, key: 1},
+		{name: "wrong arity", op: wire.OpPut, key: 2, vals: []uint64{7}, want: wire.FlagErr},
+		{name: "unknown segment get", op: wire.OpGet, unknown: true, key: 0, want: wire.FlagErr},
+		{name: "unknown segment put", op: wire.OpPut, unknown: true, key: 0, vals: []uint64{1, 2}, want: wire.FlagErr},
+		{name: "miss before bypass", op: wire.OpGet, key: 1},
+		{name: "miss closing a zero-R window", op: wire.OpGet, key: 1},
+		{name: "bypassed get", op: wire.OpGet, key: 0, want: wire.FlagBypass},
+		{name: "bypassed put", op: wire.OpPut, key: 0, vals: []uint64{1, 2}, want: wire.FlagBypass},
+	} {
+		segOne, segMany := single, batch
+		if tc.unknown {
+			segOne, segMany = single+99, batch+99
+		}
+		one := &wire.Frame{Op: tc.op, Seg: segOne, Key: key(tc.key), Vals: tc.vals, Cost: rtt}
+		many := &wire.Frame{Op: wire.OpMGet, Seg: segMany, Cost: rtt,
+			Items: []wire.Item{{Key: key(tc.key)}}}
+		if tc.op == wire.OpPut {
+			one.Cost = cost
+			many.Op, many.Cost = wire.OpMPut, 0
+			many.Items[0].Vals, many.Items[0].Cost = tc.vals, cost
+		}
+		a, b := read(send(one)), read(send(many))
+		if a.Flags != wire.FlagResp|tc.want {
+			t.Errorf("%s: %v answered flags %x (%s), want %x", tc.name, tc.op, a.Flags, a.Err, wire.FlagResp|tc.want)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: %v answered %+v, its batch of one %+v", tc.name, tc.op, a, b)
+		}
+		if sa, sb := stats(single), stats(batch); !reflect.DeepEqual(sa, sb) {
+			t.Errorf("%s: STATS after the single op %v, after the batch %v", tc.name, sa, sb)
+		}
 	}
 }
 

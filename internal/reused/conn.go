@@ -130,14 +130,10 @@ func (s *Server) process(f *wire.Frame, sp *obs.Span) {
 	switch f.Op {
 	case wire.OpHello:
 		s.processHello(f)
-	case wire.OpGet:
+	case wire.OpGet, wire.OpMGet:
 		s.processGet(f, instrumented, sp)
-	case wire.OpPut:
-		s.processPut(f)
-	case wire.OpMGet:
-		s.processMGet(f, instrumented, sp)
-	case wire.OpMPut:
-		s.processMPut(f)
+	case wire.OpPut, wire.OpMPut:
+		s.processPut(f, instrumented)
 	case wire.OpFlush, wire.OpStats:
 		seg, ok := s.segmentByID(f.Seg)
 		if !ok {
@@ -178,87 +174,24 @@ func (s *Server) processHello(f *wire.Frame) {
 	f.Vals = append(f.Vals[:0], uint64(cfg.Entries), b2u(cfg.LRU), uint64(seg.outWords))
 }
 
-func (s *Server) processGet(f *wire.Frame, instrumented bool, sp *obs.Span) {
+// admit is the prologue every GET, PUT, MGET and MPUT shares: it finds
+// the segment, refuses an empty batch, observes a probe's client-reported
+// RTT, and answers BYPASS while the governor has the segment off. It
+// returns nil when f already holds its answer.
+func (s *Server) admit(f *wire.Frame, instrumented bool) *segment {
 	seg, ok := s.segmentByID(f.Seg)
 	if !ok {
 		fail(f, "unknown segment id")
-		return
+		return nil
 	}
-	rttNS := int64(f.Cost) // client-reported round-trip estimate
-	if instrumented && rttNS > 0 {
-		mClientRTT.ObserveTraced(rttNS, f.TraceID)
-	}
-	if seg.bypassOrReadmit(s) {
-		if instrumented {
-			seg.bypassed.Inc()
-		}
-		respond(f, wire.FlagBypass)
-		return
-	}
-	start := time.Now()
-	outs, hit := seg.tab.Probe(0, f.Key)
-	probeNS := time.Since(start).Nanoseconds()
-	sp.Annotate("probe_ns", probeNS)
-	if d := seg.gov.observeGet(seg.name, hit, probeNS+rttNS); d != nil {
-		s.recordDecision(*d)
-	}
-	if !hit {
-		respond(f, 0)
-		return
-	}
-	if instrumented {
-		seg.hits.Inc()
-	}
-	respond(f, wire.FlagHit)
-	// Copy the stored words into the frame-owned buffer: the frame goes
-	// back to a pool, and the table keeps owning outs.
-	f.Vals = append(f.Vals[:0], outs...)
-}
-
-func (s *Server) processPut(f *wire.Frame) {
-	seg, ok := s.segmentByID(f.Seg)
-	if !ok {
-		fail(f, "unknown segment id")
-		return
-	}
-	if seg.bypassOrReadmit(s) {
-		if obs.On() {
-			seg.bypassed.Inc()
-		}
-		respond(f, wire.FlagBypass)
-		return
-	}
-	if len(f.Vals) != seg.outWords {
-		fail(f, "wrong output arity")
-		return
-	}
-	seg.gov.observePut(int64(f.Cost))
-	seg.tab.Record(0, f.Key, f.Vals)
-	s.enforceBudget()
-	respond(f, 0)
-}
-
-// processMGet is the scatter-gather probe: one frame, one round trip,
-// many keys. Each item is probed independently and answered in place
-// (per-item FlagHit plus the stored outputs); the request keys are
-// dropped from the response — the client matches items by index. The
-// client's RTT estimate is amortized evenly across the batch when the
-// governor is charged overhead O, which is exactly the economics that
-// make batching worthwhile under formula 3: the same round trip divided
-// over n probes shrinks each probe's O by n.
-func (s *Server) processMGet(f *wire.Frame, instrumented bool, sp *obs.Span) {
-	seg, ok := s.segmentByID(f.Seg)
-	if !ok {
-		fail(f, "unknown segment id")
-		return
-	}
-	if len(f.Items) == 0 {
+	if f.Op.Batch() && len(f.Items) == 0 {
 		fail(f, "empty batch")
-		return
+		return nil
 	}
-	rttNS := int64(f.Cost)
-	if instrumented && rttNS > 0 {
-		mClientRTT.ObserveTraced(rttNS, f.TraceID)
+	// A probe's Cost is the client's round-trip estimate; a record's is
+	// the measured computation cost C.
+	if instrumented && f.Cost > 0 && (f.Op == wire.OpGet || f.Op == wire.OpMGet) {
+		mClientRTT.ObserveTraced(int64(f.Cost), f.TraceID)
 	}
 	if seg.bypassOrReadmit(s) {
 		if instrumented {
@@ -266,6 +199,52 @@ func (s *Server) processMGet(f *wire.Frame, instrumented bool, sp *obs.Span) {
 		}
 		respond(f, wire.FlagBypass)
 		f.Items = nil
+		return nil
+	}
+	return seg
+}
+
+// probe looks key up for a GET or one MGET item and charges the
+// governor the probe's latency plus rttNS, the request's share of the
+// client's round trip. It returns the table-owned outputs of a hit, the
+// response flag and the probe latency.
+func (s *Server) probe(seg *segment, key []byte, rttNS int64, instrumented bool) ([]uint64, uint8, int64) {
+	start := time.Now()
+	outs, hit := seg.tab.Probe(0, key)
+	probeNS := time.Since(start).Nanoseconds()
+	if d := seg.gov.observeGet(seg.name, hit, probeNS+rttNS); d != nil {
+		s.recordDecision(*d)
+	}
+	if !hit {
+		return nil, 0, probeNS
+	}
+	if instrumented {
+		seg.hits.Inc()
+	}
+	return outs, wire.FlagHit, probeNS
+}
+
+// processGet answers a GET, or an MGET by scatter-gather: one frame, one
+// round trip, many keys. Each item is probed independently and answered
+// in place (per-item FlagHit plus the stored outputs); the request keys
+// are dropped from the response — the client matches items by index.
+// The client's RTT estimate is amortized evenly across the batch when
+// the governor is charged overhead O, which is exactly the economics
+// that make batching worthwhile under formula 3: the same round trip
+// divided over n probes shrinks each probe's O by n. Hit outputs are
+// copied into frame-owned buffers: the frame goes back to a pool, and
+// the table keeps owning them.
+func (s *Server) processGet(f *wire.Frame, instrumented bool, sp *obs.Span) {
+	seg := s.admit(f, instrumented)
+	if seg == nil {
+		return
+	}
+	rttNS := int64(f.Cost)
+	if f.Op == wire.OpGet {
+		outs, flag, probeNS := s.probe(seg, f.Key, rttNS, instrumented)
+		sp.Annotate("probe_ns", probeNS)
+		respond(f, flag)
+		f.Vals = append(f.Vals, outs...)
 		return
 	}
 	sp.Annotate("items", int64(len(f.Items)))
@@ -273,68 +252,41 @@ func (s *Server) processMGet(f *wire.Frame, instrumented bool, sp *obs.Span) {
 	var totalProbeNS, hits int64
 	for i := range f.Items {
 		it := &f.Items[i]
-		start := time.Now()
-		outs, hit := seg.tab.Probe(0, it.Key)
-		probeNS := time.Since(start).Nanoseconds()
+		outs, flag, probeNS := s.probe(seg, it.Key, rttShare, instrumented)
 		totalProbeNS += probeNS
-		if d := seg.gov.observeGet(seg.name, hit, probeNS+rttShare); d != nil {
-			s.recordDecision(*d)
+		if flag != 0 {
+			hits++
 		}
-		it.Key = nil
-		it.Cost = 0
-		if !hit {
-			it.Flags = 0
-			it.Vals = nil
-			continue
-		}
-		hits++
-		if instrumented {
-			seg.hits.Inc()
-		}
-		it.Flags = wire.FlagHit
-		// Copy out of the table-owned storage, as processGet does.
+		it.Flags, it.Key, it.Cost = flag, nil, 0
 		it.Vals = append(it.Vals[:0], outs...)
 	}
 	sp.Annotate("probe_ns", totalProbeNS)
 	sp.Annotate("hits", hits)
-	items := f.Items
 	respond(f, 0)
-	f.Items = items
 }
 
-// processMPut records a batch of computed results in one frame. Items
-// are validated and recorded independently — a wrong-arity item fails
-// the whole frame (the batch is one client-side coalescing decision,
-// not independent requests) — and each item's Cost feeds the governor
-// as that computation's measured C.
-func (s *Server) processMPut(f *wire.Frame) {
-	seg, ok := s.segmentByID(f.Seg)
-	if !ok {
-		fail(f, "unknown segment id")
+// processPut records a PUT's result, or an MPUT's batch of them in one
+// frame. A wrong-arity record fails the whole frame (an MPUT is one
+// client-side coalescing decision, not independent requests), and each
+// record's Cost feeds the governor as that computation's measured C.
+func (s *Server) processPut(f *wire.Frame, instrumented bool) {
+	seg := s.admit(f, instrumented)
+	if seg == nil {
 		return
 	}
-	if len(f.Items) == 0 {
-		fail(f, "empty batch")
-		return
+	recs := f.Items
+	if f.Op == wire.OpPut {
+		recs = []wire.Item{{Key: f.Key, Vals: f.Vals, Cost: f.Cost}}
 	}
-	if seg.bypassOrReadmit(s) {
-		if obs.On() {
-			seg.bypassed.Inc()
-		}
-		respond(f, wire.FlagBypass)
-		f.Items = nil
-		return
-	}
-	for i := range f.Items {
-		if len(f.Items[i].Vals) != seg.outWords {
+	for i := range recs {
+		if len(recs[i].Vals) != seg.outWords {
 			fail(f, "wrong output arity")
 			return
 		}
 	}
-	for i := range f.Items {
-		it := &f.Items[i]
-		seg.gov.observePut(int64(it.Cost))
-		seg.tab.Record(0, it.Key, it.Vals)
+	for i := range recs {
+		seg.gov.observePut(int64(recs[i].Cost))
+		seg.tab.Record(0, recs[i].Key, recs[i].Vals)
 	}
 	s.enforceBudget()
 	respond(f, 0)

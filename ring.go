@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"compreuse/internal/obs"
+	"compreuse/internal/wire"
 )
 
 // Ring metrics. The aggregate series are registered at init; the
@@ -360,7 +361,7 @@ func (c *Client) replicaLoop() {
 		case w := <-c.repCh:
 			seg, err := w.seg.on(w.node)
 			if err == nil {
-				err = seg.putTraced(w.key, w.vals, w.cost, obs.TraceCtx{})
+				_, _, err = seg.rpc(wire.OpPut, w.key, w.vals, w.cost, obs.TraceCtx{})
 			}
 			if err != nil && isTransportErr(err) {
 				c.markDown(c.node[w.node])
@@ -390,18 +391,11 @@ func (c *Client) Segment(name string, cfg SegmentConfig) (*RemoteSegment, error)
 	}
 	s := &RemoteSegment{c: c, name: name, cfg: cfg,
 		nodes: make([]atomic.Pointer[nodeSegment], len(c.node))}
-	var lastErr error
 	live := 0
-	for i, n := range c.node {
-		if _, err := s.on(i); err != nil {
-			lastErr = err
-			if isTransportErr(err) {
-				c.markDown(n)
-			}
-			continue
-		}
+	lastErr := s.each(func(int, *nodeSegment) error {
 		live++
-	}
+		return nil
+	})
 	if live == 0 {
 		return nil, fmt.Errorf("register segment %q: %w", name, lastErr)
 	}
@@ -489,42 +483,7 @@ func (s *RemoteSegment) Get(key []byte) ([]uint64, GetStatus, error) {
 // probe (an "rpc.get" child) carries the trace id to whichever node
 // answered.
 func (s *RemoteSegment) GetTraced(key []byte, tr obs.TraceCtx) ([]uint64, GetStatus, error) {
-	sp, ctx := s.span(tr, "pool.get")
-	var scratch [8]int
-	nodes := s.route(key, scratch[:0])
-	var lastErr error
-	for i, ni := range nodes {
-		seg, err := s.on(ni)
-		if err == nil {
-			var vals []uint64
-			var status GetStatus
-			vals, status, err = seg.getTraced(key, ctx)
-			if err == nil {
-				if i > 0 {
-					s.countFailover(nodes[:i])
-				}
-				sp.Annotate("hops", int64(i))
-				sp.Outcome(status.String())
-				sp.End()
-				return vals, status, nil
-			}
-		}
-		lastErr = err
-		if !isTransportErr(err) {
-			// The node answered: a protocol error is this request's
-			// problem, not the node's. Surface it.
-			sp.Annotate("hops", int64(i))
-			sp.Outcome("proto_err")
-			sp.End()
-			return nil, Miss, err
-		}
-		s.c.markDown(s.c.node[ni])
-	}
-	s.countFailover(nodes)
-	sp.Annotate("hops", int64(len(nodes)))
-	sp.Outcome("all_down")
-	sp.End()
-	return nil, Miss, lastErr
+	return s.walk(wire.OpGet, key, nil, 0, tr)
 }
 
 // Put records the outputs computed for key; see PutTraced.
@@ -543,45 +502,67 @@ func (s *RemoteSegment) Put(key []byte, vals []uint64, cost time.Duration) error
 // hops, the replicas queued and any dropped on a full queue; the
 // synchronous write carries the trace id to its node.
 func (s *RemoteSegment) PutTraced(key []byte, vals []uint64, cost time.Duration, tr obs.TraceCtx) error {
-	sp, ctx := s.span(tr, "pool.put")
+	_, _, err := s.walk(wire.OpPut, key, vals, cost, tr)
+	return err
+}
+
+// walk is the failover walk of a GET or PUT: the first node along the
+// key's ring route that answers — anything but a transport error — takes
+// the call, and every node that failed on the way is marked down and
+// charged a failover. A protocol error is the request's problem, not the
+// node's: it surfaces at once. A PUT that lands then fans out to its
+// replicas.
+func (s *RemoteSegment) walk(op wire.Op, key []byte, vals []uint64, cost time.Duration, tr obs.TraceCtx) ([]uint64, GetStatus, error) {
+	name := "pool.get"
+	if op == wire.OpPut {
+		name = "pool.put"
+	}
+	sp, ctx := s.span(tr, name)
 	var scratch [8]int
 	nodes := s.route(key, scratch[:0])
 	var lastErr error
-	primary := -1
 	for i, ni := range nodes {
 		seg, err := s.on(ni)
 		if err == nil {
-			err = seg.putTraced(key, vals, cost, ctx)
-		}
-		if err == nil {
-			primary = i
-			break
+			var out []uint64
+			var status GetStatus
+			if out, status, err = seg.rpc(op, key, vals, cost, ctx); err == nil {
+				s.countFailover(nodes[:i])
+				sp.Annotate("hops", int64(i))
+				outcome := status.String()
+				if op == wire.OpPut {
+					s.replicate(&sp, nodes[i+1:], key, vals, cost)
+					outcome = "ok"
+				}
+				sp.Outcome(outcome)
+				sp.End()
+				return out, status, nil
+			}
 		}
 		lastErr = err
 		if !isTransportErr(err) {
 			sp.Annotate("hops", int64(i))
 			sp.Outcome("proto_err")
 			sp.End()
-			return err
+			return nil, Miss, err
 		}
 		s.c.markDown(s.c.node[ni])
 	}
-	if primary < 0 {
-		s.countFailover(nodes)
-		sp.Annotate("hops", int64(len(nodes)))
-		sp.Outcome("all_down")
-		sp.End()
-		return lastErr
-	}
-	if primary > 0 {
-		s.countFailover(nodes[:primary])
-	}
-	// Replicate to the remaining ring successors of the synchronous
-	// copy, up to Replicas total. Fire-and-forget: the queue is bounded
-	// and never blocks the caller; an overflowing fleet drops replicas
-	// (counted) rather than stalling the hot path.
+	s.countFailover(nodes)
+	sp.Annotate("hops", int64(len(nodes)))
+	sp.Outcome("all_down")
+	sp.End()
+	return nil, Miss, lastErr
+}
+
+// replicate queues a landed PUT's copies for the ring successors of the
+// node that took it (rest), up to Replicas total, and annotates sp with
+// the replicas queued and dropped. Fire-and-forget: the queue is bounded
+// and never blocks the caller; an overflowing fleet drops replicas
+// (counted) rather than stalling the hot path.
+func (s *RemoteSegment) replicate(sp *obs.Span, rest []int, key []byte, vals []uint64, cost time.Duration) {
 	queued, dropped := int64(0), int64(0)
-	for _, ni := range remaining(nodes, primary, s.c.replicas-1) {
+	for _, ni := range rest[:min(s.c.replicas-1, len(rest))] {
 		w := repWrite{
 			node: ni,
 			seg:  s,
@@ -600,20 +581,10 @@ func (s *RemoteSegment) PutTraced(key []byte, vals []uint64, cost time.Duration,
 			}
 		}
 	}
-	sp.Annotate("hops", int64(primary))
 	sp.Annotate("replicas", queued)
 	if dropped > 0 {
 		sp.Annotate("replica_drops", dropped)
 	}
-	sp.Outcome("ok")
-	sp.End()
-	return nil
-}
-
-// remaining returns up to count node indices after position primary.
-func remaining(nodes []int, primary, count int) []int {
-	rest := nodes[primary+1:]
-	return rest[:max(0, min(count, len(rest)))]
 }
 
 // countFailover charges one failover to each node that was skipped.
@@ -628,23 +599,30 @@ func (s *RemoteSegment) countFailover(skipped []int) {
 	}
 }
 
-// Flush empties the segment on every live node and resets its
-// admission state there.
-func (s *RemoteSegment) Flush() error {
+// each runs fn on the segment's handle on every node, in Addr order, and
+// returns the last error. A node whose handle or call fails with a
+// transport error is marked down.
+func (s *RemoteSegment) each(fn func(i int, seg *nodeSegment) error) error {
 	var lastErr error
-	for i := range s.c.node {
+	for i, n := range s.c.node {
 		seg, err := s.on(i)
 		if err == nil {
-			err = seg.flush()
+			err = fn(i, seg)
 		}
 		if err != nil {
 			lastErr = err
 			if isTransportErr(err) {
-				s.c.markDown(s.c.node[i])
+				s.c.markDown(n)
 			}
 		}
 	}
 	return lastErr
+}
+
+// Flush empties the segment on every live node and resets its
+// admission state there.
+func (s *RemoteSegment) Flush() error {
+	return s.each(func(_ int, seg *nodeSegment) error { return seg.flush() })
 }
 
 // Stats fetches the segment's live server-side statistics, aggregated
@@ -656,21 +634,11 @@ func (s *RemoteSegment) Flush() error {
 func (s *RemoteSegment) Stats() (RemoteStats, error) {
 	var sum, one RemoteStats
 	var rWeighted, cWeighted, oWeighted float64
-	var lastErr error
 	live := 0
-	for i := range s.c.node {
-		seg, err := s.on(i)
-		if err != nil {
-			lastErr = err
-			continue
-		}
+	lastErr := s.each(func(_ int, seg *nodeSegment) error {
 		st, err := seg.stats()
 		if err != nil {
-			lastErr = err
-			if isTransportErr(err) {
-				s.c.markDown(s.c.node[i])
-			}
-			continue
+			return err
 		}
 		live++
 		one = st
@@ -686,7 +654,8 @@ func (s *RemoteSegment) Stats() (RemoteStats, error) {
 		rWeighted += w * st.R
 		cWeighted += w * float64(st.C)
 		oWeighted += w * float64(st.O)
-	}
+		return nil
+	})
 	switch live {
 	case 0:
 		return RemoteStats{}, lastErr
@@ -729,17 +698,16 @@ func (s NodeStats) HitRate() float64 {
 // the fleet loadgen's per-node hit-rate and failover report.
 func (s *RemoteSegment) NodeStats() []NodeStats {
 	out := make([]NodeStats, len(s.c.node))
+	s.each(func(i int, seg *nodeSegment) (err error) {
+		out[i].Stats, err = seg.stats()
+		return err
+	})
+	// Read liveness after the stats calls, so a node one of them marked
+	// down reports as down.
 	for i, n := range s.c.node {
-		out[i] = NodeStats{
-			Addr:      n.addr,
-			Down:      n.down.Load(),
-			Failovers: n.failovers.Load(),
-		}
-		if seg, err := s.on(i); err == nil {
-			if st, err := seg.stats(); err == nil {
-				out[i].Stats = st
-			}
-		}
+		out[i].Addr = n.addr
+		out[i].Down = n.down.Load()
+		out[i].Failovers = n.failovers.Load()
 	}
 	return out
 }

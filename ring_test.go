@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"compreuse"
+	"compreuse/internal/obs"
 	"compreuse/internal/reused"
 )
 
@@ -240,5 +241,58 @@ func TestRingOfOneRecoversAfterRestart(t *testing.T) {
 			t.Fatalf("no L2 service 10s after the restart: %+v", after)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestRingProtocolErrorSurfaces: an error the node answered with (here
+// a wrong-arity Put) is the request's problem, not the node's. The walk
+// must return it from the first node it reached, mark no node down and
+// charge no failover, and a traced "pool.put" span must record it as
+// proto_err at hops 0.
+func TestRingProtocolErrorSurfaces(t *testing.T) {
+	cfg := reused.Config{Governor: reused.GovernorConfig{Window: -1}}
+	_, a := startNode(t, cfg)
+	_, b := startNode(t, cfg)
+	c, err := compreuse.DialCache(compreuse.ClientConfig{Addr: a + "," + b, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	seg, err := c.Segment("arity", compreuse.SegmentConfig{OutWords: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	obs.EnableTrace(1, 256)
+	obs.ResetTraces()
+	defer obs.DisableTrace()
+	root := obs.StartRoot("test.put")
+	err = seg.PutTraced([]byte("k"), []uint64{1}, time.Millisecond, root.Context())
+	root.End()
+	if err == nil {
+		t.Fatal("wrong-arity Put returned no error")
+	}
+
+	if down := c.DownNodes(); len(down) != 0 {
+		t.Errorf("DownNodes = %v after a protocol error, want none", down)
+	}
+	for _, ns := range seg.NodeStats() {
+		if ns.Failovers != 0 || ns.Down {
+			t.Errorf("node %s: failovers %d, down %v; want 0, false", ns.Addr, ns.Failovers, ns.Down)
+		}
+	}
+	var found bool
+	for _, sp := range obs.TraceSpans() {
+		if sp.Name != "pool.put" {
+			continue
+		}
+		found = true
+		if hops, ok := sp.Annotation("hops"); sp.Outcome != "proto_err" || !ok || hops != 0 {
+			t.Errorf("pool.put span: outcome %q, annotations %v; want proto_err with hops 0",
+				sp.Outcome, sp.Annotations())
+		}
+	}
+	if !found {
+		t.Error("no pool.put span recorded")
 	}
 }

@@ -53,9 +53,8 @@ type TieredStats struct {
 // paying while R·C − O > 0 holds on the server's live numbers), Do
 // simply computes locally.
 type TieredMemo struct {
-	l1    *MemoTable
-	seg   remoteCache
-	stats tierCounters
+	remoteTier
+	l1 *MemoTable
 
 	// flights deduplicates concurrent misses on one key, by a maphash
 	// of its bytes: the first caller (the leader) does the remote GET
@@ -78,6 +77,13 @@ type remoteCache interface {
 	Flush() error
 }
 
+// remoteTier is the remote half both tiered memos share: the L2
+// segment, the where-served counters and a flight leader's L2 leg.
+type remoteTier struct {
+	seg   remoteCache
+	stats tierCounters
+}
+
 // tierCounters are a tiered memo's where-served counters, in TieredStats
 // field order; TieredDepMemo keeps the same block, its ghost refills in
 // the L2 slot.
@@ -92,37 +98,65 @@ const (
 	tsErrors
 )
 
-// l2Answer classifies a leader's remote GET. hit reports a value to
-// serve (counted as an L2 hit); otherwise the caller computes, and
-// publish says whether it may PUT the result — only after a clean Miss:
-// after a Bypass the governor has turned the segment off, and after an
-// error the tier is not answering. Errors and bypasses are counted, and
-// root's outcome records which level served the request.
-func (ts *tierCounters) l2Answer(vals []uint64, status GetStatus, err error, root *obs.Span) (hit, publish bool) {
-	switch {
-	case err == nil && status == Hit && len(vals) > 0:
-		ts[tsL2Hits].Add(1)
-		root.Outcome("l2_hit")
-		return true, false
-	case err != nil:
-		ts[tsErrors].Add(1)
-		root.Outcome("l2_err")
-	case status == Bypass:
-		ts[tsBypassed].Add(1)
-		root.Outcome("bypass")
-	default:
+// leg is the remote half of a flight leader's miss, the same for both
+// tiered memos. When get is set it asks L2 for key; a hit is served, and otherwise
+// compute runs under a timed "compute" span. keep stores the value in
+// the memo's local table and lands the leader's flight, and returns the
+// key to publish the value under. Only then is a computed value PUT with
+// its measured cost C — the cost the server's governor weighs against
+// the overhead O of serving the segment — so followers never wait out
+// the PUT. It is PUT after a clean Miss or when no GET was made: after a
+// Bypass the governor has turned the segment off, and after an error the
+// tier is not answering. Errors (a failed GET or PUT) and bypasses are
+// counted. root is the request's span: the GET and PUT stitch into it
+// across the wire, the compute becomes a child span, and root's outcome
+// records which level served the request.
+func (t *remoteTier) leg(key []byte, get bool, root *obs.Span, compute func() uint64, keep func(v uint64, publish bool) []byte) uint64 {
+	publish := true
+	if get {
+		vals, status, err := t.seg.GetTraced(key, root.Context())
+		switch {
+		case err == nil && status == Hit && len(vals) > 0:
+			t.stats[tsL2Hits].Add(1)
+			root.Outcome("l2_hit")
+			keep(vals[0], false)
+			return vals[0]
+		case err != nil:
+			t.stats[tsErrors].Add(1)
+			root.Outcome("l2_err")
+		case status == Bypass:
+			t.stats[tsBypassed].Add(1)
+			root.Outcome("bypass")
+		default:
+			root.Outcome("compute")
+		}
+		publish = err == nil && status == Miss
+	} else {
 		root.Outcome("compute")
 	}
-	return false, err == nil && status == Miss
+
+	t.stats[tsComputes].Add(1)
+	csp := obs.StartSpan(root.Context(), "compute")
+	start := time.Now()
+	v := compute()
+	cost := time.Since(start)
+	csp.End()
+	put := keep(v, publish)
+	if publish {
+		if err := t.seg.PutTraced(put, []uint64{v}, cost, root.Context()); err != nil {
+			t.stats[tsErrors].Add(1)
+		}
+	}
+	return v
 }
 
-// publish records a computed value on L2 with its measured cost C — the
-// cost the server's governor weighs against the overhead O of serving
-// the segment. A failed PUT counts as an error.
-func (ts *tierCounters) publish(seg remoteCache, key []byte, v uint64, cost time.Duration, root *obs.Span) {
-	if err := seg.PutTraced(key, []uint64{v}, cost, root.Context()); err != nil {
-		ts[tsErrors].Add(1)
+// reset zeroes the counters and flushes the L2 segment (which also
+// readmits it).
+func (t *remoteTier) reset() error {
+	for i := range t.stats {
+		t.stats[i].Store(0)
 	}
+	return t.seg.Flush()
 }
 
 // remoteSegment registers a tiered memo's single-word L2 segment.
@@ -151,8 +185,8 @@ func newTieredMemo(seg remoteCache, cfg TieredMemoConfig) *TieredMemo {
 			LRU:     cfg.L1LRU,
 			Shards:  cfg.L1Shards,
 		}),
-		seg:  seg,
-		seed: maphash.MakeSeed(),
+		remoteTier: remoteTier{seg: seg},
+		seed:       maphash.MakeSeed(),
 	}
 }
 
@@ -195,38 +229,23 @@ func (t *TieredMemo) Do(key []byte, compute func() uint64) uint64 {
 			return v
 		}
 	}
-	v := t.doMiss(key, compute, fl, &root)
+	v := t.miss(key, compute, fl, &root)
 	root.End()
 	return v
 }
 
-// doMiss is the slow path: L2 probe, then compute, recording the
-// result in both tiers, then landing the caller's flight fl (nil when it
-// has none). The landing is deferred: compute is user code and may
-// panic, and the panic propagates to the caller, as an un-memoized
-// compute's would. root is the request's trace span: the L2 probe and
-// PUT stitch into it across the wire, the compute becomes a child span,
-// and the root's outcome records which level served the request.
-func (t *TieredMemo) doMiss(key []byte, compute func() uint64, fl *flight, root *obs.Span) uint64 {
+// miss is the slow path: the shared L2 leg (see remoteTier.leg), which
+// stores the value in L1 and lands the caller's flight fl (nil when it
+// has none) before any PUT. The landing is also deferred: compute is
+// user code and may panic, and the panic propagates to the caller, as
+// an un-memoized compute's would.
+func (t *TieredMemo) miss(key []byte, compute func() uint64, fl *flight, root *obs.Span) uint64 {
 	defer t.flights.release(&t.sfMu, fl)
-	vals, status, err := t.seg.GetTraced(key, root.Context())
-	hit, publish := t.stats.l2Answer(vals, status, err, root)
-	if hit {
-		t.l1.Store(key, vals[0])
-		return vals[0]
-	}
-
-	t.stats[tsComputes].Add(1)
-	csp := obs.StartSpan(root.Context(), "compute")
-	start := time.Now()
-	v := compute()
-	cost := time.Since(start)
-	csp.End()
-	t.l1.Store(key, v)
-	if publish {
-		t.stats.publish(t.seg, key, v, cost, root)
-	}
-	return v
+	return t.leg(key, true, root, compute, func(v uint64, _ bool) []byte {
+		t.l1.Store(key, v)
+		t.flights.release(&t.sfMu, fl)
+		return key
+	})
 }
 
 // Stats returns a snapshot of the tier counters.
@@ -251,12 +270,5 @@ func (t *TieredMemo) RemoteStats() (RemoteStats, error) { return t.seg.Stats() }
 // server-side segment is flushed (which also readmits it).
 func (t *TieredMemo) Reset() error {
 	t.l1.Reset()
-	t.stats.reset()
-	return t.seg.Flush()
-}
-
-func (ts *tierCounters) reset() {
-	for i := range ts {
-		ts[i].Store(0)
-	}
+	return t.remoteTier.reset()
 }
