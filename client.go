@@ -623,16 +623,23 @@ func dialConn(addr string, cfg ClientConfig) (*clientConn, error) {
 	return cc, nil
 }
 
+// replies pools the one-slot channels that carry a response to its
+// waiter. A channel returns to the pool only after it delivered its one
+// response: close shuts the channels of failed calls, and those are
+// dropped.
+var replies = sync.Pool{New: func() any { return make(chan wire.Frame, 1) }}
+
 // roundTrip writes one request on the caller's goroutine and blocks for
 // its response. The waiter is registered before the write because the
 // response can arrive before Write returns. A failed write closes the
 // connection, which fails this call along with every other pending one.
 func (cc *clientConn) roundTrip(req *wire.Frame) (wire.Frame, error) {
-	ch := make(chan wire.Frame, 1)
+	ch := replies.Get().(chan wire.Frame)
 	cc.mu.Lock()
 	if cc.err != nil {
 		err := cc.err
 		cc.mu.Unlock()
+		replies.Put(ch)
 		return wire.Frame{}, err
 	}
 	cc.seq++
@@ -653,6 +660,7 @@ func (cc *clientConn) roundTrip(req *wire.Frame) (wire.Frame, error) {
 		cc.mu.Unlock()
 		return wire.Frame{}, err
 	}
+	replies.Put(ch)
 	return resp, nil
 }
 

@@ -58,7 +58,7 @@ func (w *depWatcher) open(ins []part, fr *Seg) {
 	n := 0
 	for i := range ins {
 		in := &ins[i]
-		p := in.addr(fr)
+		p := in.addr(fr).ptr()
 		w.ranges = append(w.ranges, depRange{seg: p.seg, base: p.off, words: len(in.cells), first: n, scalar: in.val != nil})
 		n += len(in.cells)
 	}

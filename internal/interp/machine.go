@@ -100,10 +100,14 @@ func (r *Result) Seconds() float64 { return cost.Seconds(r.Cycles) }
 // one, lowers the program against it and executes main.
 type Machine struct {
 	m       cost.Model
+	u       units
 	globals *Seg
 	out     strings.Builder
 	cycles  int64
 	ops     OpCounts
+	// pending holds op counts paid by static prices and not yet added
+	// to ops, packed as a price packs them.
+	pending uint64
 	steps   int64
 	maxStep int64
 	depth   int
@@ -145,6 +149,7 @@ func RunWatched(prog *minic.Program, opts Options, watches []*Watch) (res *Resul
 	if opts.Model != nil {
 		mc.m = *opts.Model
 	}
+	mc.u = unitsOf(&mc.m)
 	if mc.maxStep == 0 {
 		mc.maxStep = 4e9
 	}
@@ -180,6 +185,7 @@ func RunWatched(prog *minic.Program, opts Options, watches []*Watch) (res *Resul
 		mc.param(f, fr, i, IntVal(a))
 	}
 	ret := mc.enter(f, fr, mainFn.Pos())
+	mc.settle()
 	res = &Result{
 		Ret:       ret.ival(),
 		Cycles:    mc.cycles,
@@ -226,22 +232,31 @@ func scalarElem(t minic.Type) minic.Type {
 	return t
 }
 
-func (mc *Machine) charge(c int64)      { mc.cycles += c }
-func (mc *Machine) chargeInt()          { mc.cycles += mc.m.IntALU; mc.ops.IntOps++ }
-func (mc *Machine) chargeMul()          { mc.cycles += mc.m.IntMul; mc.ops.MulOps++ }
-func (mc *Machine) chargeDiv()          { mc.cycles += mc.m.IntDiv; mc.ops.DivOps++ }
-func (mc *Machine) chargeLoad()         { mc.cycles += mc.m.Load; mc.ops.MemOps++ }
-func (mc *Machine) chargeStore()        { mc.cycles += mc.m.Store; mc.ops.MemOps++ }
-func (mc *Machine) chargeBranch()       { mc.cycles += mc.m.Branch; mc.ops.Branches++ }
-func (mc *Machine) chargeFloat(c int64) { mc.cycles += c; mc.ops.FloatOps++ }
-
-// chargeLocal charges a frame-slot access (free for register locals).
-func (mc *Machine) chargeLocal() {
-	if mc.m.LocalAccess != 0 {
-		mc.cycles += mc.m.LocalAccess
-		mc.ops.MemOps++
-	}
+// units holds the price of each cost-model entry that lowering charges
+// statically.
+type units struct {
+	alu, load, store, local, branch, conv price
 }
+
+func unitsOf(m *cost.Model) units {
+	u := units{
+		alu:    price{cycles: m.IntALU, lanes: laneIntOps},
+		load:   price{cycles: m.Load, lanes: laneMemOps},
+		store:  price{cycles: m.Store, lanes: laneMemOps},
+		branch: price{cycles: m.Branch, lanes: laneBranches},
+		conv:   price{cycles: m.Conv, lanes: laneIntOps},
+	}
+	// A frame-slot access is free for register locals.
+	if m.LocalAccess != 0 {
+		u.local = price{cycles: m.LocalAccess, lanes: laneMemOps}
+	}
+	return u
+}
+
+func (mc *Machine) charge(c int64) { mc.cycles += c }
+func (mc *Machine) chargeInt()     { mc.cycles += mc.m.IntALU; mc.ops.IntOps++ }
+func (mc *Machine) chargeLoad()    { mc.cycles += mc.m.Load; mc.ops.MemOps++ }
+func (mc *Machine) chargeStore()   { mc.cycles += mc.m.Store; mc.ops.MemOps++ }
 
 // step counts one executed statement against the step limit.
 func (mc *Machine) step(pos minic.Pos) {

@@ -39,10 +39,11 @@ func take(spare **scratch) *scratch {
 }
 
 // part is one lowered region input or output: val reads a scalar (nil for
-// aggregates), addr designates the storage, whose scalar leaves are cells.
+// aggregates), addr yields the address of the storage, whose scalar
+// leaves are cells.
 type part struct {
 	val   expr
-	addr  lval
+	addr  expr
 	cells []cell
 	pos   minic.Pos
 }
@@ -79,7 +80,7 @@ func (mc *Machine) lowerParts(es []minic.Expr, lvalues bool) []part {
 			ps[i].val = mc.lowerExpr(e)
 		}
 		if agg || lvalues {
-			ps[i].addr = mc.lowerLValue(e)
+			ps[i].addr = mc.paid(mc.place(e))
 		}
 	}
 	return ps
@@ -182,7 +183,7 @@ func (mc *Machine) appendKey(key []byte, ins []part, fr *Seg) []byte {
 			}
 			continue
 		}
-		base := in.addr(fr)
+		base := in.addr(fr).ptr()
 		for _, c := range in.cells {
 			v := mc.load(Ptr{seg: base.seg, off: base.off + c.off}, in.pos)
 			if c.float {
@@ -204,7 +205,7 @@ func (mc *Machine) readOutputs(words []uint64, outs []part, fr *Seg) []uint64 {
 			words = append(words, encodeScalar(o.val(fr), o.cells[0].float))
 			continue
 		}
-		base := o.addr(fr)
+		base := o.addr(fr).ptr()
 		for _, c := range o.cells {
 			words = append(words, encodeScalar(mc.load(Ptr{seg: base.seg, off: base.off + c.off}, o.pos), c.float))
 		}
@@ -224,7 +225,7 @@ func (mc *Machine) writeOutputs(r *region, words []uint64, fr *Seg) {
 	i := 0
 	for j := range r.outs {
 		o := &r.outs[j]
-		base := o.addr(fr)
+		base := o.addr(fr).ptr()
 		for _, c := range o.cells {
 			v := Value{K: KInt, n: int64(words[i])}
 			if c.float {

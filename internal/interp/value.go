@@ -14,10 +14,12 @@
 //
 // Each run lowers the checked AST into Go closures (lower.go), once and
 // per function on its first call, resolving slots, strides, conversions,
-// call targets and reuse tables (DESIGN.md, "The lowered VM"). Operators
-// specialize on static operand types behind a dynamic-kind guard: a value's
-// kind can differ from its static type (an unassigned float struct field
-// or pointer holds int 0), and the generic path then follows the kinds.
+// call targets, reuse tables, each operator and the shapes of its
+// operands (ops.go), and the static price of straight-line code, which a
+// statement pays once (DESIGN.md, "The lowered VM"). Operators specialize
+// on static operand types behind a dynamic-kind guard: a value's kind can
+// differ from its static type (an unassigned float struct field or
+// pointer holds int 0), and the generic path then follows the kinds.
 package interp
 
 import (
@@ -111,6 +113,7 @@ func (v Value) Truthy() bool {
 // float or pointer slot and passes everything else through.
 type conv uint8
 
+// A conv other than convNone is one more than the Kind it converts to.
 const (
 	convNone conv = iota // function pointers, struct words: bit-preserving
 	convInt
@@ -131,8 +134,16 @@ func convOf(t minic.Type) conv {
 	return convNone
 }
 
-// do coerces v to c's representation (assignment semantics).
+// do coerces v to c's representation (assignment semantics). A value
+// already of c's kind passes unchanged.
 func (c conv) do(v Value) Value {
+	if c == convNone || v.K == Kind(c-1) {
+		return v
+	}
+	return c.convert(v)
+}
+
+func (c conv) convert(v Value) Value {
 	switch c {
 	case convInt:
 		if v.K == KFloat {

@@ -293,14 +293,16 @@ func (mc *Machine) watchExit(w *watch, t inst, c ctrl, fr *Seg) {
 // the side counters. A fault disables w instead of ending the run: the
 // program itself never executes the instrumentation.
 func (mc *Machine) sideWork(w *watch, f func()) (ok bool) {
-	cycles, ops := mc.cycles, mc.ops
+	// The run's pending op counts wait aside while f pays its own.
+	cycles, ops, pending := mc.cycles, mc.ops, mc.pending
+	mc.pending = 0
 	defer func() {
 		if r := recover(); r != nil {
 			re, isRT := r.(*RuntimeError)
 			if !isRT {
 				panic(r)
 			}
-			mc.cycles, mc.ops = cycles, ops
+			mc.cycles, mc.ops, mc.pending = cycles, ops, pending
 			w.stats.Err = re
 			ok = false
 		}
@@ -308,7 +310,8 @@ func (mc *Machine) sideWork(w *watch, f func()) (ok bool) {
 	f()
 	mc.wt.ops.add(mc.ops)
 	mc.wt.ops.sub(ops)
-	mc.ops = ops
+	mc.wt.ops.add(unpack(mc.pending))
+	mc.ops, mc.pending = ops, pending
 	d := mc.cycles - cycles
 	mc.cycles = cycles
 	mc.credit(w, d)

@@ -52,12 +52,12 @@ func TestRemoteHitAllocs(t *testing.T) {
 		want float64
 		op   func()
 	}{
-		{"RemoteSegment.Get hit", 5, func() {
+		{"RemoteSegment.Get hit", 3, func() {
 			if vals, status, err := seg.Get(key); err != nil || status != Hit || vals[0] != 42 {
 				t.Fatalf("Get = %v, %v, %v; want [42], hit, <nil>", vals, status, err)
 			}
 		}},
-		{"TieredMemo.Do L2 hit, L1 emptied", 12, func() {
+		{"TieredMemo.Do L2 hit, L1 emptied", 10, func() {
 			tm.l1.Reset()
 			if v := tm.Do(key, noCompute); v != 7 {
 				t.Fatalf("Do = %d, want 7", v)
