@@ -101,7 +101,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := rep.Snapshot.Save(f); err != nil {
+		if err := rep.Snapshot().Save(f); err != nil {
 			fatal(err)
 		}
 		if err := f.Close(); err != nil {

@@ -159,9 +159,6 @@ type Report struct {
 	// DepProfiles holds the dependence-footprint census for each segment
 	// the dep-key second chance profiled (Options.DepKeys; nil otherwise).
 	DepProfiles map[string]*DepSegProfile
-	// Snapshot is the profiling artifact of this run, suitable for
-	// Options.Profile in a later invocation (cmd/crc -profile-out).
-	Snapshot *profile.Snapshot
 
 	Baseline RunSummary
 	Reuse    RunSummary
@@ -171,6 +168,15 @@ type Report struct {
 	// with reuse regions rendered as __crc_probe/__crc_record/__crc_fetch
 	// pseudo-calls in the style of the paper's Figure 2(b).
 	TransformedSource string
+
+	// args and freq are the training input and its frequency profile.
+	args, freq []int64
+}
+
+// Snapshot packages the profiling artifact of this run, suitable for
+// Options.Profile in a later invocation (cmd/crc -profile-out).
+func (r *Report) Snapshot() *profile.Snapshot {
+	return profile.ToSnapshot(r.Name, r.OptLevel, r.args, r.freq, r.Profiles)
 }
 
 // Speedup is baseline time over reuse time.
@@ -321,6 +327,25 @@ type compiled struct {
 // (read by tests).
 var preps, executions atomic.Int64
 
+// profileRun is the compile's instrumented run of the training input:
+// it watches cands and, with dependence keys, takes the footprint census.
+func (pa *prepared) profileRun(o *Options, model *cost.Model, cands []*segment.Segment) (*interp.Result, *depCensus, error) {
+	watches := profile.Watches(cands, nil)
+	var census *depCensus
+	if o.DepKeys {
+		census = newDepCensus(pa.an, model, len(cands))
+		watches = append(watches, census.watches()...)
+	}
+	res, err := execute(pa.prog, o.runOpts(model, true, o.MainArgs), watches)
+	if err != nil {
+		return nil, nil, fmt.Errorf("frequency profiling run: %w", err)
+	}
+	if census != nil {
+		census.stats = res.Watched
+	}
+	return res, census, nil
+}
+
 // execute is the one way the pipeline runs the VM.
 func execute(prog *minic.Program, ro interp.Options, watches []*interp.Watch) (*interp.Result, error) {
 	executions.Add(1)
@@ -333,9 +358,8 @@ func Run(o Options) (*Report, error) {
 	return rep, err
 }
 
-// compile runs the scheme and returns the report with the transformed
-// program it measured.
-func compile(o Options) (*Report, *compiled, error) {
+// defaults fills in the options Run defaults.
+func (o *Options) defaults() {
 	if o.OptLevel == "" {
 		o.OptLevel = "O0"
 	}
@@ -345,6 +369,12 @@ func compile(o Options) (*Report, *compiled, error) {
 	if o.MaxSizeFactor == 0 {
 		o.MaxSizeFactor = 4
 	}
+}
+
+// compile runs the scheme and returns the report with the transformed
+// program it measured.
+func compile(o Options) (*Report, *compiled, error) {
+	o.defaults()
 	model := cost.ModelFor(o.OptLevel)
 	measureArgs := o.MainArgs
 	if o.MeasureArgs != nil {
@@ -366,6 +396,7 @@ func compile(o Options) (*Report, *compiled, error) {
 	// baseline when the two coincide.
 	var freq []int64
 	var candidates []*segment.Segment
+	var census *depCensus
 	profiles := map[string]*profile.SegProfile{}
 	measured := false
 	if o.Profile != nil {
@@ -387,16 +418,18 @@ func compile(o Options) (*Report, *compiled, error) {
 		}
 	} else {
 		// One instrumented run profiles every structural candidate that
-		// passes the O/C filter; the frequency filter then picks the
-		// profiles to keep.
+		// passes the O/C filter and, with dependence keys, takes the
+		// footprint census of the dep-eligible ones; the frequency filter
+		// and the selection then pick the profiles to keep.
 		cands := pa.an.Candidates()
-		res, err := execute(pa.prog, o.runOpts(model, true, o.MainArgs), profile.Watches(cands, nil))
+		var res *interp.Result
+		res, census, err = pa.profileRun(&o, model, cands)
 		if err != nil {
-			return nil, nil, fmt.Errorf("frequency profiling run: %w", err)
+			return nil, nil, err
 		}
 		freq = res.Freq
 		candidates = profile.FrequencyFilter(cands, freq, o.MinFreq)
-		if profiles, err = profile.Layout(cands, res.Watched, candidates, model); err != nil {
+		if profiles, err = profile.Layout(cands, res.Watched[:len(cands)], candidates, model); err != nil {
 			return nil, nil, err
 		}
 		if measured = sameArgs(o.MainArgs, measureArgs); measured {
@@ -414,7 +447,7 @@ func compile(o Options) (*Report, *compiled, error) {
 	for _, s := range candidates {
 		passedFreq[s.Name] = true
 	}
-	rep.Snapshot = profile.ToSnapshot(o.Name, o.OptLevel, o.MainArgs, freq, profiles)
+	rep.args, rep.freq = o.MainArgs, freq
 	rep.Profiles = profiles
 	rep.SegmentsProfiled = len(profiles)
 
@@ -449,21 +482,23 @@ func compile(o Options) (*Report, *compiled, error) {
 		selectedNames[c.Seg.Name] = true
 	}
 
-	// --- Dep-key second chance (Options.DepKeys): re-profile pre-filter
-	// rejects with dependence-tracked footprint tables and admit those
-	// profitable under DepOverhead. Skipped in the offline-snapshot
-	// workflow (the snapshot holds no footprint census).
+	// --- Dep-key second chance (Options.DepKeys): admit pre-filter
+	// rejects that are profitable under DepOverhead, keyed by
+	// dependence-tracked footprint tables. Skipped in the
+	// offline-snapshot workflow (the snapshot holds no footprint census).
 	var depProfiles map[string]*DepSegProfile
 	depNames := map[string]bool{}
-	if o.DepKeys && o.Profile == nil {
+	if census != nil {
 		var selSegs []*segment.Segment
 		for _, c := range selected {
 			selSegs = append(selSegs, c.Seg)
 		}
 		depCands := depCandidates(pa.an, model, freq, o.MinFreq, selSegs)
-		depProfiles, err = collectDepProfiles(&o, model, pa.prog, depCands)
-		if err != nil {
-			return nil, nil, err
+		var folded bool
+		if depProfiles, folded = census.profiles(depCands, model); !folded {
+			if depProfiles, err = collectDepProfiles(&o, model, pa.prog, depCands); err != nil {
+				return nil, nil, err
+			}
 		}
 		for name, dp := range depProfiles {
 			if dp.Accepted {

@@ -313,12 +313,13 @@ func TestProfileSnapshotWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Snapshot == nil {
-		t.Fatal("no snapshot collected")
+	saved := first.Snapshot()
+	if len(saved.Freq) == 0 || len(saved.Segments) == 0 {
+		t.Fatalf("snapshot holds %d frequencies and %d profiles", len(saved.Freq), len(saved.Segments))
 	}
 
 	var buf strings.Builder
-	if err := first.Snapshot.Save(&buf); err != nil {
+	if err := saved.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := profile.LoadSnapshot(strings.NewReader(buf.String()))

@@ -160,9 +160,10 @@ func genWideKernelProgram(rng *rand.Rand) string {
 
 // TestFuzzPipelineDepKeys is the dependence-key arm of the differential
 // fuzzer: with Options.DepKeys the transformed program must still return
-// and print exactly what the original does, and across the corpus the
-// second chance must admit footprint-keyed segments, so the watcher and
-// trie-probe paths of the VM really run.
+// and print exactly what the original does, the footprint census the
+// frequency run took must equal a separate census run's, and across the
+// corpus the second chance must admit footprint-keyed segments, so the
+// watcher and trie-probe paths of the VM really run.
 func TestFuzzPipelineDepKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(20040320))
 	iters := 24
@@ -170,16 +171,21 @@ func TestFuzzPipelineDepKeys(t *testing.T) {
 		iters = 8
 	}
 	var admitted, hits int64
+	folded := 0
 	for i := 0; i < iters; i++ {
 		src := genWideKernelProgram(rng)
-		rep, err := Run(Options{
+		o := Options{
 			Name:     fmt.Sprintf("widefuzz%d.c", i),
 			Source:   src,
 			MainArgs: []int64{int64(rng.Intn(1000) + 1), int64(300 + rng.Intn(500))},
 			DepKeys:  true,
-		})
+		}
+		rep, err := Run(o)
 		if err != nil {
 			t.Fatalf("iter %d: %v\n%s", i, err, src)
+		}
+		if checkDepCensus(t, o, rep) {
+			folded++
 		}
 		if rep.Baseline.Ret != rep.Reuse.Ret || rep.Baseline.Output != rep.Reuse.Output {
 			t.Fatalf("iter %d: dep-key pipeline changed semantics: ret %d->%d\n%s\n--- transformed ---\n%s",
@@ -196,5 +202,9 @@ func TestFuzzPipelineDepKeys(t *testing.T) {
 		t.Fatalf("no dependence-keyed segment admitted and hit across %d programs (admitted %d, hits %d)",
 			iters, admitted, hits)
 	}
-	t.Logf("%d dep-key tables admitted, %d trie hits", admitted, hits)
+	if folded == 0 {
+		t.Fatalf("the frequency run served none of %d footprint censuses", iters)
+	}
+	t.Logf("%d dep-key tables admitted, %d trie hits; the frequency run served %d of %d footprint censuses",
+		admitted, hits, folded, iters)
 }

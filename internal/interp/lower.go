@@ -692,7 +692,7 @@ func (mc *Machine) lowerUnary(e *minic.Unary) operand {
 func (mc *Machine) read(seg *Seg, off int) Value {
 	v := seg.data[off]
 	if mc.depWatch != nil {
-		mc.depWatch.onRead(seg, off, v)
+		mc.onRead(seg, off, v)
 	}
 	return v
 }
@@ -701,7 +701,7 @@ func (mc *Machine) read(seg *Seg, off int) Value {
 // charged.
 func (mc *Machine) write(seg *Seg, off int, v Value) {
 	if mc.depWatch != nil {
-		mc.depWatch.onWrite(seg, off)
+		mc.onWrite(seg, off)
 	}
 	seg.data[off] = v
 }

@@ -40,12 +40,13 @@ func take(spare **scratch) *scratch {
 
 // part is one lowered region input or output: val reads a scalar (nil for
 // aggregates), addr yields the address of the storage, whose scalar
-// leaves are cells.
+// leaves are cells. Its cells lie at offsets [lo, hi) from that address.
 type part struct {
-	val   expr
-	addr  expr
-	cells []cell
-	pos   minic.Pos
+	val    expr
+	addr   expr
+	cells  []cell
+	pos    minic.Pos
+	lo, hi int
 }
 
 type cell struct {
@@ -76,6 +77,10 @@ func (mc *Machine) lowerParts(es []minic.Expr, lvalues bool) []part {
 	for i, e := range es {
 		agg := minic.IsAggregate(e.Type())
 		ps[i] = part{cells: flatten(e.Type(), 0, nil), pos: e.Pos()}
+		ps[i].lo, ps[i].hi = ps[i].cells[0].off, ps[i].cells[0].off+1
+		for _, c := range ps[i].cells {
+			ps[i].lo, ps[i].hi = min(ps[i].lo, c.off), max(ps[i].hi, c.off+1)
+		}
 		if !agg {
 			ps[i].val = mc.lowerExpr(e)
 		}
@@ -169,6 +174,25 @@ func (mc *Machine) execReuse(r *region, fr *Seg) ctrl {
 	return cNone
 }
 
+// Region and watch parts read and write an aggregate in one pass: one
+// bounds check over its span and one summed charge (span), then a loop
+// over the segment's cells, each still reported to the dependence
+// watchers when one is active. A span out of range takes the per-cell
+// path, which faults at the first bad cell as a load or store would.
+
+// span charges the accesses of p's cells at base, unit cycles and one
+// memory op each, when all of them lie in base's segment, and reports
+// whether they do.
+func (mc *Machine) span(p *part, base Ptr, unit int64) bool {
+	if base.seg == nil || base.off+p.lo < 0 || base.off+p.hi > len(base.seg.data) {
+		return false
+	}
+	n := int64(len(p.cells))
+	mc.cycles += n * unit
+	mc.ops.MemOps += n
+	return true
+}
+
 // appendKey concatenates the bit patterns of the input values (paper
 // §2.1). Scalar ints contribute 4 bytes, floats 8; aggregate inputs
 // contribute every element.
@@ -184,13 +208,35 @@ func (mc *Machine) appendKey(key []byte, ins []part, fr *Seg) []byte {
 			continue
 		}
 		base := in.addr(fr).ptr()
+		if !mc.span(in, base, mc.m.Load) {
+			key = mc.keyCells(key, in, base)
+			continue
+		}
+		seg, watched := base.seg, mc.depWatch != nil
 		for _, c := range in.cells {
-			v := mc.load(Ptr{seg: base.seg, off: base.off + c.off}, in.pos)
+			off := base.off + c.off
+			v := seg.data[off]
+			if watched {
+				mc.onRead(seg, off, v)
+			}
 			if c.float {
 				key = reusetab.AppendFloat(key, v.fval())
 			} else {
 				key = reusetab.AppendInt(key, v.ival())
 			}
+		}
+	}
+	return key
+}
+
+// keyCells is appendKey's per-cell path for the aggregate in at base.
+func (mc *Machine) keyCells(key []byte, in *part, base Ptr) []byte {
+	for _, c := range in.cells {
+		v := mc.load(Ptr{seg: base.seg, off: base.off + c.off}, in.pos)
+		if c.float {
+			key = reusetab.AppendFloat(key, v.fval())
+		} else {
+			key = reusetab.AppendInt(key, v.ival())
 		}
 	}
 	return key
@@ -206,9 +252,27 @@ func (mc *Machine) readOutputs(words []uint64, outs []part, fr *Seg) []uint64 {
 			continue
 		}
 		base := o.addr(fr).ptr()
-		for _, c := range o.cells {
-			words = append(words, encodeScalar(mc.load(Ptr{seg: base.seg, off: base.off + c.off}, o.pos), c.float))
+		if !mc.span(o, base, mc.m.Load) {
+			words = mc.readCells(words, o, base)
+			continue
 		}
+		seg, watched := base.seg, mc.depWatch != nil
+		for _, c := range o.cells {
+			off := base.off + c.off
+			v := seg.data[off]
+			if watched {
+				mc.onRead(seg, off, v)
+			}
+			words = append(words, encodeScalar(v, c.float))
+		}
+	}
+	return words
+}
+
+// readCells is readOutputs' per-cell path for the aggregate o at base.
+func (mc *Machine) readCells(words []uint64, o *part, base Ptr) []uint64 {
+	for _, c := range o.cells {
+		words = append(words, encodeScalar(mc.load(Ptr{seg: base.seg, off: base.off + c.off}, o.pos), c.float))
 	}
 	return words
 }
@@ -226,16 +290,39 @@ func (mc *Machine) writeOutputs(r *region, words []uint64, fr *Seg) {
 	for j := range r.outs {
 		o := &r.outs[j]
 		base := o.addr(fr).ptr()
+		if !mc.span(o, base, mc.m.Store) {
+			i = mc.writeCells(o, base, words, i)
+			continue
+		}
+		seg, watched := base.seg, mc.depWatch != nil
 		for _, c := range o.cells {
-			v := Value{K: KInt, n: int64(words[i])}
-			if c.float {
-				v.K = KFloat
+			off := base.off + c.off
+			if watched {
+				mc.onWrite(seg, off)
 			}
-			mc.storePtr(Ptr{seg: base.seg, off: base.off + c.off}, v, o.pos)
+			seg.data[off] = decodeScalar(words[i], c.float)
 			i++
 		}
 	}
 	if i != len(words) {
 		panic(rtErr(r.s.Pos(), "reuse region %q: output width mismatch (%d of %d words)", r.s.SegName, i, len(words)))
 	}
+}
+
+// writeCells is writeOutputs' per-cell path for the output o at base,
+// from words[i:]; it returns the index of the next word.
+func (mc *Machine) writeCells(o *part, base Ptr, words []uint64, i int) int {
+	for _, c := range o.cells {
+		mc.storePtr(Ptr{seg: base.seg, off: base.off + c.off}, decodeScalar(words[i], c.float), o.pos)
+		i++
+	}
+	return i
+}
+
+// decodeScalar is the value a stored output word holds.
+func decodeScalar(w uint64, float bool) Value {
+	if float {
+		return Value{K: KFloat, n: int64(w)}
+	}
+	return Value{K: KInt, n: int64(w)}
 }

@@ -176,9 +176,28 @@ func Layout(watched []*segment.Segment, stats []interp.WatchStats, keep []*segme
 func layoutTable(profiles map[string]*SegProfile, group, wave []*segment.Segment,
 	idx map[*segment.Segment]int, stats []interp.WatchStats, model *cost.Model) {
 
+	name := transform.TableName(group)
+	if len(group) == 1 {
+		// A lone member's census is in first-seen order: its ranks are
+		// its indices and its counts are the table's access counts.
+		s := group[0]
+		st := &stats[idx[s]]
+		census := make([]reusetab.KeyCount, len(st.Census))
+		var access []int64
+		if len(census) > 0 {
+			access = make([]int64, len(census))
+		}
+		for i, k := range st.Census {
+			census[i] = reusetab.KeyCount{Key: k.Key, Count: k.Count, Rank: i}
+			access[i] = k.Count
+		}
+		profiles[s.Name] = segProfile(s, st, name, census, access, wave, idx, model)
+		return
+	}
+
 	// The table's ranks order the members' keys by first sighting; its
 	// access counts are the union census. unionOf[m][i] is the union
-	// index of member m's i-th key (a lone member's keys are its own).
+	// index of member m's i-th key.
 	type key struct {
 		first int64
 		count int64
@@ -190,14 +209,10 @@ func layoutTable(profiles map[string]*SegProfile, group, wave []*segment.Segment
 		census := stats[idx[s]].Census
 		unionOf[m] = make([]int, len(census))
 		for i, k := range census {
-			u, seen := len(union), false
-			if len(group) > 1 {
-				if u, seen = index[k.Key]; !seen {
-					u = len(union)
-					index[k.Key] = u
-				}
-			}
+			u, seen := index[k.Key]
 			if !seen {
+				u = len(union)
+				index[k.Key] = u
 				union = append(union, key{first: k.First})
 			}
 			union[u].first = min(union[u].first, k.First)
@@ -220,7 +235,6 @@ func layoutTable(profiles map[string]*SegProfile, group, wave []*segment.Segment
 		access[r] = union[u].count
 	}
 
-	name := transform.TableName(group)
 	for m, s := range group {
 		st := &stats[idx[s]]
 		census := make([]reusetab.KeyCount, len(st.Census))
@@ -228,25 +242,34 @@ func layoutTable(profiles map[string]*SegProfile, group, wave []*segment.Segment
 			census[i] = reusetab.KeyCount{Key: k.Key, Count: k.Count, Rank: rank[unionOf[m][i]]}
 		}
 		sort.Slice(census, func(i, j int) bool { return census[i].Rank < census[j].Rank })
-		body := st.Run.BodyCycles
-		for _, t := range wave {
-			body += st.Nested[idx[t]]
-		}
-		sp := &SegProfile{
-			Name:         s.Name,
-			TableName:    name,
-			N:            st.Run.Instances,
-			Nds:          int64(len(census)),
-			Overhead:     float64(model.HashOverhead(s.KeyBytes, s.OutBytes)),
-			Census:       census,
-			AccessCounts: append([]int64(nil), access...),
-			KeyBytes:     s.KeyBytes,
-		}
-		if st.Run.BodyRuns > 0 {
-			sp.MeasuredC = float64(body) / float64(st.Run.BodyRuns)
-		}
-		profiles[s.Name] = sp
+		profiles[s.Name] = segProfile(s, st, name, census, append([]int64(nil), access...), wave, idx, model)
 	}
+}
+
+// segProfile is the profile of s, watched as st, in a table named name
+// with the given census and access counts. Its body cycles include the
+// instrumentation of the segments of its own wave.
+func segProfile(s *segment.Segment, st *interp.WatchStats, name string, census []reusetab.KeyCount,
+	access []int64, wave []*segment.Segment, idx map[*segment.Segment]int, model *cost.Model) *SegProfile {
+
+	body := st.Run.BodyCycles
+	for _, t := range wave {
+		body += st.Nested[idx[t]]
+	}
+	sp := &SegProfile{
+		Name:         s.Name,
+		TableName:    name,
+		N:            st.Run.Instances,
+		Nds:          int64(len(census)),
+		Overhead:     float64(model.HashOverhead(s.KeyBytes, s.OutBytes)),
+		Census:       census,
+		AccessCounts: access,
+		KeyBytes:     s.KeyBytes,
+	}
+	if st.Run.BodyRuns > 0 {
+		sp.MeasuredC = float64(body) / float64(st.Run.BodyRuns)
+	}
+	return sp
 }
 
 // CollisionDeduction estimates, from a profiling census and an intended
