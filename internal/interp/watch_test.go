@@ -3,6 +3,7 @@ package interp
 import (
 	"testing"
 
+	"compreuse/internal/depmemo"
 	"compreuse/internal/minic"
 )
 
@@ -50,5 +51,61 @@ int main() {
 	// Four key builds of one index load and one array load each.
 	if res.Side <= 0 || res.SideOps.MemOps != 8 {
 		t.Errorf("side cycles %d, ops %+v", res.Side, res.SideOps)
+	}
+}
+
+// TestWatchInstrumentationHiddenFromDepWatchers checks that a footprint
+// census records the plain run's reads whatever else is watched: the
+// flat and dep watches inside the loop body read g[2], both to build
+// their keys and as their output, but the body itself never reads g, so
+// the loop's footprints must not contain it.
+func TestWatchInstrumentationHiddenFromDepWatchers(t *testing.T) {
+	const src = `
+int g[4] = {5, 6, 7, 8};
+int main() {
+    int s = 0;
+    int k;
+    for (k = 0; k < 6; k++) {
+        if (k >= 0) s += k % 2;
+    }
+    return s;
+}`
+	prog := compile(t, src)
+	loop := prog.Func("main").Body.Stmts[2].(*minic.ForStmt)
+	branch := loop.Body.(*minic.Block).Stmts[0].(*minic.IfStmt)
+	syms := map[string]*minic.Symbol{}
+	for _, g := range prog.Globals {
+		syms[g.Sym.Name] = g.Sym
+	}
+	for _, id := range minic.Idents(loop) {
+		syms[id.Name] = id.Sym
+	}
+	g2 := minic.Ref(syms["g"], prog.NewIntLit(2))
+	census := func(inner ...*Watch) depmemo.Stats {
+		tab := depmemo.New(depmemo.Config{Name: "loop", Profile: true})
+		outer := &Watch{Body: loop.Body, Dep: tab,
+			Inputs:  []minic.Expr{minic.Ref(syms["g"], nil), minic.Ref(syms["k"], nil), minic.Ref(syms["s"], nil)},
+			Outputs: []minic.Expr{minic.Ref(syms["s"], nil)}}
+		res, err := RunWatched(prog, Options{}, append([]*Watch{outer}, inner...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, st := range res.Watched {
+			if st.Err != nil || st.Run.Instances != 6 {
+				t.Fatalf("watch %d: %+v", i, st)
+			}
+		}
+		return tab.Stats()
+	}
+	alone := census()
+	flat := &Watch{Body: branch.Then, Inputs: []minic.Expr{g2}, Outputs: []minic.Expr{g2}}
+	dep := &Watch{Body: branch.Then, Dep: depmemo.New(depmemo.Config{Name: "branch", Profile: true}),
+		Inputs: []minic.Expr{minic.Ref(syms["s"], nil)}, Outputs: []minic.Expr{g2}}
+	if got := census(flat, dep); got != alone {
+		t.Errorf("footprint census with watches inside %+v, alone %+v", got, alone)
+	}
+	// k and s: the loop body reads nothing else.
+	if alone.FootprintSum != 2*alone.Records {
+		t.Errorf("census %+v, want two reads per instance", alone)
 	}
 }
