@@ -39,3 +39,29 @@ func BenchmarkCoreRun(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCoreRunCensusRetake runs the one compile path the pipeline
+// workload does not take: a dependence-key compile whose frequency run
+// cannot serve the footprint census, so the census is retaken in a third
+// run. UNEPIC at its full inputs is such a compile (see
+// TestDepCensusRetakeMatchesSeparateRun).
+//
+//	go test -run NONE -bench BenchmarkCoreRunCensusRetake -benchmem ./internal/core/
+func BenchmarkCoreRunCensusRetake(b *testing.B) {
+	p, err := bench.ByName("UNEPIC")
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := p.RunOptions("O0")
+	o.DepKeys = true
+	b.ReportAllocs()
+	for b.Loop() {
+		e0 := core.Executions.Load()
+		if _, err := core.Run(o); err != nil {
+			b.Fatal(err)
+		}
+		if execs := core.Executions.Load() - e0; execs != 3 {
+			b.Fatalf("UNEPIC executed %d times, want 3", execs)
+		}
+	}
+}
