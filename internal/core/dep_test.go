@@ -181,3 +181,49 @@ func depTable(t *testing.T, tables []TableInfo) *TableInfo {
 	t.Fatalf("no dep table in %+v", tables)
 	return nil
 }
+
+// depInduction stages a loop body keyed on an element a[i] of its
+// address-only induction variable i. A dependence key widens a[i] to all
+// of a, so its footprints name absolute cells; unless i itself is
+// tracked, a footprint recorded at one i hits at another, where the body
+// would have read a different cell. One pass in four (mode) reads a[i];
+// the others compute from a constant and hit across i.
+const depInduction = `
+int a[64]; int w[256]; int r[64]; int mode;
+int main(int seed, int n) {
+    int i; int p; int s = 0;
+    for (i = 0; i < 64; i++) a[i] = (i * 37 + seed) % 101;
+    for (i = 0; i < 256; i++) w[i] = (i * 53 + 11) % 97;
+    for (p = 0; p < n; p++) {
+        mode = (p % 4) == 0;
+        w[255] = p;
+        for (i = 0; i < 64; i++) {
+            int t; int q;
+            if (mode) t = a[i]; else t = 5;
+            for (q = 0; q < 12; q++) { t = (t * 7 + w[(t + q) & 255]) % 1009; t = (t * 13 + 5) % 1013; t = (t * 17 + 3) % 1019; t = (t * 19 + 7) % 1021; }
+            r[i] = t;
+        }
+        for (i = 0; i < 64; i++) s = s + r[i] * (i + 1);
+    }
+    return s & 65535;
+}
+`
+
+func TestDepKeysTrackAddressOnlyInductionVariable(t *testing.T) {
+	rep, err := Run(Options{Name: "depinduction", Source: depInduction, DepKeys: true, MainArgs: []int64{7, 40}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp := rep.DepProfiles["main@loop4"]
+	if dp == nil || !dp.Accepted {
+		t.Fatalf("dep second chance did not admit main@loop4: %+v", dp)
+	}
+	if rep.Reuse.Ret != rep.Baseline.Ret {
+		t.Fatalf("dependence keys changed the result: %d, baseline %d (R_dep %.4f)",
+			rep.Reuse.Ret, rep.Baseline.Ret, dp.ReuseRate())
+	}
+	if dep := depTable(t, rep.Tables); dep.Stats.Hits == 0 {
+		t.Fatalf("main@loop4's footprint trie served no hits: %+v", dep.Stats)
+	}
+	t.Logf("main@loop4: R_dep %.4f over %d instances", dp.ReuseRate(), dp.N)
+}

@@ -40,6 +40,25 @@ func (s *Segment) DepEligible(m *cost.Model) bool {
 	return float64(oDep)/float64(s.CMax) < 1
 }
 
+// DepInputs returns the locations a dependence-keyed region or watch of s
+// tracks: each input as a whole location, since the watcher narrows an
+// aggregate to the cells the body reads, then the address-only induction
+// variable, if any. The flat key leaves that variable out because it
+// keys arr[iv] by the element's value; a footprint instead names the
+// cells it read by offset, so it depends on the variable that chose them
+// and must track it, or a footprint recorded at one iv would hit at
+// another where the body reads other cells.
+func (s *Segment) DepInputs() []Input {
+	out := make([]Input, 0, len(s.Inputs)+1)
+	for _, in := range s.Inputs {
+		out = append(out, Input{Sym: in.Sym})
+	}
+	if s.AddrVar != nil {
+		out = append(out, Input{Sym: s.AddrVar})
+	}
+	return out
+}
+
 // HasAggregateInput reports whether any keyed input is an aggregate —
 // the case where dependence narrowing has room to work (scalar-only
 // keys are already minimal, so the trie can only match HashOverhead).

@@ -300,15 +300,12 @@ func wrap(prog *minic.Program, s *segment.Segment, tableID, segBit int, dep bool
 	rr.Body = s.Body
 	rr.Dep = dep
 
-	for _, in := range s.Inputs {
+	inputs := s.Inputs
+	if dep {
+		inputs = s.DepInputs()
+	}
+	for _, in := range inputs {
 		if in.Elem == nil {
-			rr.Inputs = append(rr.Inputs, prog.NewIdent(in.Sym))
-			continue
-		}
-		if dep {
-			// A dep region declares the whole aggregate as trackable —
-			// the watcher narrows to the elements actually read, which
-			// may differ from the flat key's single-element pattern.
 			rr.Inputs = append(rr.Inputs, prog.NewIdent(in.Sym))
 			continue
 		}
