@@ -77,9 +77,10 @@ type Options struct {
 	// future work: reusing parts of a body instead of the whole body).
 	SubBlocks bool
 	// DepKeys enables the dependence-key second chance: segments the
-	// flat-key O/C >= 1 pre-filter rejected are re-profiled with
-	// dependence-tracked footprint tables (internal/depmemo) and admitted
-	// when formula (3) holds under the per-location DepOverhead model.
+	// flat-key O/C >= 1 pre-filter rejected are re-profiled by a census
+	// of their dependence footprints and, when formula (3) holds under
+	// the per-location DepOverhead model, keyed by dependence-tracked
+	// footprint tables (internal/depmemo).
 	// Off by default; the flat-key pipeline output is unchanged.
 	DepKeys bool
 	// MeasureArgs, when non-nil, are used for the measurement runs while
@@ -330,7 +331,7 @@ var preps, executions atomic.Int64
 // profileRun is the compile's instrumented run of the training input:
 // it watches cands and, with dependence keys, takes the footprint census.
 func (pa *prepared) profileRun(o *Options, model *cost.Model, cands []*segment.Segment) (*interp.Result, *depCensus, error) {
-	watches := profile.Watches(cands, nil)
+	watches := profile.Watches(cands, false)
 	var census *depCensus
 	if o.DepKeys {
 		census = newDepCensus(pa.an, model, len(cands))

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"compreuse/internal/cost"
-	"compreuse/internal/depmemo"
 	"compreuse/internal/interp"
 	"compreuse/internal/minic"
 	"compreuse/internal/profile"
@@ -15,11 +14,12 @@ import (
 
 // Dependence-key second chance (Options.DepKeys): segments the flat-key
 // O/C >= 1 pre-filter rejected — typically because a wide, sparsely-read
-// aggregate dominates the key — are re-profiled with dependence-tracked
-// footprint tables (internal/depmemo) and admitted when formula (3)
-// holds under cost.Model.DepOverhead: R_dep·C − O_dep > 0, where R_dep
-// is the reuse rate over footprints and O_dep prices one trie level per
-// location actually read instead of one Jenkins pass per key byte.
+// aggregate dominates the key — are re-profiled by a census of their
+// dependence footprints and, when formula (3) holds under
+// cost.Model.DepOverhead, keyed by footprint tries (internal/depmemo).
+// Formula (3) is then R_dep·C − O_dep > 0, where R_dep is the reuse rate
+// over footprints and O_dep prices one trie level per location actually
+// read instead of one Jenkins pass per key byte.
 
 // DepSegProfile is the dependence-footprint analog of a value-set
 // profile: the census a dep profiling wave took for one segment.
@@ -77,30 +77,21 @@ func depCandidates(an *segment.Analysis, model *cost.Model, freq []int64, minFre
 	return cands
 }
 
-// depCensus is the footprint census the frequency run takes of the
-// dep-eligible segments that no earlier one overlaps: segs[i] is watch
-// first+i of the run, whose statistics are stats. A segment inside an
-// earlier one is kept only when that one is not, so its census waits
-// for the selection.
+// depCensus is a footprint census of segs: segs[i] is watch first+i of
+// the run whose statistics are stats. The frequency run takes one of the
+// dep-eligible segments that no earlier one overlaps (a segment inside
+// an earlier one is kept only when that one is not, so its census waits
+// for the selection); a separate run takes one of exactly the candidates
+// the selection keeps (collectDepProfiles).
 type depCensus struct {
 	segs  []*segment.Segment
-	tabs  []*depmemo.Table
 	first int
 	stats []interp.WatchStats
 }
 
 func newDepCensus(an *segment.Analysis, model *cost.Model, first int) *depCensus {
 	segs, _ := segment.Disjoint(an.DepCandidates(model), nil)
-	return &depCensus{segs: segs, tabs: censusTables(segs), first: first}
-}
-
-// censusTables returns a profile-mode footprint trie per segment.
-func censusTables(segs []*segment.Segment) []*depmemo.Table {
-	tabs := make([]*depmemo.Table, len(segs))
-	for i, s := range segs {
-		tabs[i] = depmemo.New(depmemo.Config{Name: s.Name, Profile: true})
-	}
-	return tabs
+	return &depCensus{segs: segs, first: first}
 }
 
 // watches returns the census's watches, each bounded (Watch.Bounded). A
@@ -109,7 +100,7 @@ func censusTables(segs []*segment.Segment) []*depmemo.Table {
 // selection then drops, like MPEG2's fdct@loop4, cost far more than that
 // run (DESIGN §4l).
 func (c *depCensus) watches() []*interp.Watch {
-	ws := profile.Watches(c.segs, c.tabs)
+	ws := profile.Watches(c.segs, true)
 	for _, w := range ws {
 		w.Bounded = true
 	}
@@ -142,7 +133,7 @@ func (c *depCensus) profiles(cands []*segment.Segment, model *cost.Model) (profi
 		for _, t := range cands {
 			nested += st.Nested[idx[t]]
 		}
-		if dp := depProfile(s, st, nested, c.tabs[idx[s]-c.first], model); dp != nil {
+		if dp := depProfile(s, st, nested, model); dp != nil {
 			profiles[s.Name] = dp
 		}
 	}
@@ -158,47 +149,40 @@ func collectDepProfiles(o *Options, model *cost.Model, prog *minic.Program,
 	if len(cands) == 0 {
 		return nil, nil
 	}
-	tabs := censusTables(cands)
-	res, err := execute(prog, o.runOpts(model, false, o.MainArgs), profile.Watches(cands, tabs))
+	res, err := execute(prog, o.runOpts(model, false, o.MainArgs), profile.Watches(cands, true))
 	if err != nil {
 		return nil, fmt.Errorf("dep profiling run: %w", err)
 	}
-	profiles := map[string]*DepSegProfile{}
-	for i, s := range cands {
-		st := &res.Watched[i]
+	for _, st := range res.Watched {
 		if st.Err != nil {
 			return nil, fmt.Errorf("dep profiling run: %w", st.Err)
 		}
-		var nested int64
-		for _, c := range st.Nested {
-			nested += c
-		}
-		if dp := depProfile(s, st, nested, tabs[i], model); dp != nil {
-			profiles[s.Name] = dp
-		}
 	}
+	profiles, _ := (&depCensus{segs: cands, stats: res.Watched}).profiles(cands, model)
 	return profiles, nil
 }
 
-// depProfile is the profile of s from its watch's statistics st, the
-// side cycles nested charged to its instances and its census tab; nil
-// when s never ran.
-func depProfile(s *segment.Segment, st *interp.WatchStats, nested int64, tab *depmemo.Table,
-	model *cost.Model) *DepSegProfile {
-
+// depProfile is the profile of s from its watch's statistics st and the
+// side cycles nested charged to its instances; nil when s never ran.
+func depProfile(s *segment.Segment, st *interp.WatchStats, nested int64, model *cost.Model) *DepSegProfile {
 	if st.Run.Instances == 0 {
 		return nil
 	}
-	tstats := tab.Stats()
+	var records int64
+	for _, k := range st.Census {
+		records += k.Count
+	}
 	dp := &DepSegProfile{
-		Segment:       s.Name,
-		N:             st.Run.Instances,
-		Nds:           tstats.Distinct,
-		MeasuredC:     float64(st.Run.BodyCycles+nested) / float64(st.Run.BodyRuns),
-		MeanFootprint: tstats.MeanFootprint(),
-		MaxFootprint:  tstats.MaxFootprint,
-		FullOverhead:  s.Overhead,
-		FullKeyBytes:  s.KeyBytes,
+		Segment:      s.Name,
+		N:            st.Run.Instances,
+		Nds:          int64(len(st.Census)),
+		MeasuredC:    float64(st.Run.BodyCycles+nested) / float64(st.Run.BodyRuns),
+		MaxFootprint: st.MaxFootprint,
+		FullOverhead: s.Overhead,
+		FullKeyBytes: s.KeyBytes,
+	}
+	if records > 0 {
+		dp.MeanFootprint = float64(st.FootprintSum) / float64(records)
 	}
 	fp := int(math.Ceil(dp.MeanFootprint))
 	if fp < 1 {

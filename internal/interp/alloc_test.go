@@ -174,3 +174,94 @@ func TestWatchCensusAllocsPerChunk(t *testing.T) {
 		}
 	}
 }
+
+// depCensusProgram's branch computes r from j and one cell of tbl, so
+// its footprint is those two reads: m distinct footprints over n
+// instances. depCensusWatch watches the branch with a footprint census.
+const depCensusProgram = `
+int tbl[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+int main(int n, int m) {
+    int s = 0;
+    int j;
+    int k;
+    int r;
+    for (k = 0; k < n; k++) {
+        j = k % m;
+        if (j >= 0) r = tbl[j & 7] * 3 + j;
+        s += r;
+    }
+    return s;
+}`
+
+func depCensusWatch(t *testing.T) (*minic.Program, *Watch) {
+	t.Helper()
+	prog := compile(t, depCensusProgram)
+	var loop *minic.ForStmt
+	for _, st := range prog.Func("main").Body.Stmts {
+		if f, ok := st.(*minic.ForStmt); ok {
+			loop = f
+		}
+	}
+	branch := loop.Body.(*minic.Block).Stmts[1].(*minic.IfStmt)
+	syms := map[string]*minic.Symbol{}
+	for _, id := range minic.Idents(loop) {
+		syms[id.Name] = id.Sym
+	}
+	return prog, &Watch{Body: branch.Then, Dep: true,
+		Inputs:  []minic.Expr{minic.Ref(syms["j"], nil), minic.Ref(syms["tbl"], nil)},
+		Outputs: []minic.Expr{minic.Ref(syms["r"], nil)}}
+}
+
+// TestDepWatchCensusZeroAllocSteadyState takes a footprint census whose
+// 8 footprints repeat: after the first sightings, each instance opens
+// the watcher, records two reads, encodes them and finds the key in the
+// census, allocating nothing.
+func TestDepWatchCensusZeroAllocSteadyState(t *testing.T) {
+	prog, w := depCensusWatch(t)
+	var last WatchStats
+	run := func(n int64) {
+		res, err := RunWatched(prog, Options{Args: []int64{n, 8}}, []*Watch{w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = res.Watched[0]
+	}
+	if n := steadyAllocs(t, run); n != 0 {
+		t.Errorf("footprint census hits allocate: %v allocs beyond a short run, want 0", n)
+	}
+	if len(last.Census) != 8 || last.Census[3].Count != 250 || last.FootprintSum != 2*2000 ||
+		last.MaxFootprint != 2 || last.Err != nil {
+		t.Errorf("census %+v, want 8 two-read footprints seen 250 times each", last)
+	}
+}
+
+// TestDepWatchCensusAllocsPerChunk pins what a footprint census of n
+// distinct footprints allocates beyond a census of one over as many
+// instances: its keys share the flat census's arena and index, so it
+// allocates per chunk and per doubling, never per footprint.
+func TestDepWatchCensusAllocsPerChunk(t *testing.T) {
+	const keyLen = 2 * 14 // two EncodeSteps granules
+	prog, w := depCensusWatch(t)
+	census := func(n, m int64) float64 {
+		return testing.AllocsPerRun(3, func() {
+			res, err := RunWatched(prog, Options{Args: []int64{n, m}}, []*Watch{w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := res.Watched[0]; int64(len(st.Census)) != m || st.FootprintSum != 2*n {
+				t.Fatalf("census of %d footprints over %d instances, want %d", len(st.Census), n, m)
+			}
+		})
+	}
+	for _, n := range []int{1 << 10, 1 << 14, 1 << 17} {
+		doublings := 2 * bits.Len(uint(n))
+		chunks := bits.Len(maxChunk/minChunk) + n*keyLen/maxChunk
+		const slack = 8
+		got := census(int64(n), int64(n)) - census(int64(n), 1)
+		t.Logf("%d footprints: %v allocations", n, got)
+		if got > float64(doublings+chunks+slack) {
+			t.Errorf("a census of %d footprints allocates %v times more than one of a single footprint, want at most %d doublings, %d chunks and %d more",
+				n, got, doublings, chunks, slack)
+		}
+	}
+}

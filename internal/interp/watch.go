@@ -38,13 +38,15 @@ type Watch struct {
 	// Hoisted are the output declarations transform would hoist out of
 	// the body, leaving an assignment in their place.
 	Hoisted []*minic.VarDecl
-	// Dep, when non-nil, takes the body's dependence-footprint census
-	// (a profile-mode trie) instead of a flat key census; Inputs then
-	// name whole locations, as a dep region declares them. Dep watches
-	// must be of disjoint segments: popDep expects the innermost watcher
-	// to close first, and watchedBlock closes statement runs that end
-	// together in the order they were given.
-	Dep *depmemo.Table
+	// Dep takes the body's dependence-footprint census instead of a flat
+	// key census: the census key of a completed instance is the path of
+	// first reads a dep region's watcher would record, encoded by
+	// depmemo.EncodeSteps. Inputs then name whole locations, as a dep
+	// region declares them. Dep watches must be of disjoint segments:
+	// popDep expects the innermost watcher to close first, and
+	// watchedBlock closes statement runs that end together in the order
+	// they were given.
+	Dep bool
 	// Bounded stops the footprint census, with ErrCensusFull, once it
 	// holds more than censusDistinct footprints and its work — the input
 	// locations it has opened plus the footprint steps it has recorded —
@@ -69,8 +71,13 @@ type WatchStats struct {
 	// Run counts instances and body executions; BodyCycles excludes all
 	// instrumentation, including that of nested watches.
 	Run SegRunStats
-	// Census lists the distinct keys in first-seen order (flat watches).
+	// Census lists the distinct keys in first-seen order: input sets of a
+	// flat watch, encoded footprints of a dep watch.
 	Census []KeySeen
+	// FootprintSum and MaxFootprint are the summed and the largest
+	// length, in locations, of a dep watch's recorded footprints.
+	FootprintSum int64
+	MaxFootprint int
 	// Nested[j] is the instrumentation cycles of watch j charged while an
 	// instance of this watch was running, counted once per running
 	// instance (own hoisted assignments included).
@@ -185,7 +192,7 @@ func (wt *watching) results() []WatchStats {
 // lowerWatch lowers w's inputs and outputs on first use.
 func (mc *Machine) lowerWatch(w *watch) {
 	if !w.lowered {
-		w.ins, w.outs = mc.lowerParts(w.Inputs, w.Dep != nil), mc.lowerParts(w.Outputs, true)
+		w.ins, w.outs = mc.lowerParts(w.Inputs, w.Dep), mc.lowerParts(w.Outputs, true)
 		w.lowered = true
 	}
 }
@@ -282,7 +289,7 @@ func (mc *Machine) watchEnter(w *watch, fr *Seg) inst {
 		return inst{before: -1}
 	}
 	t := inst{}
-	if w.Dep != nil {
+	if w.Dep {
 		t.sc = take(&w.spare)
 		if !mc.sideWork(w, func() { t.sc.w.open(w.ins, fr) }) {
 			t.sc.w.reset()
@@ -307,7 +314,9 @@ func (mc *Machine) watchEnter(w *watch, fr *Seg) inst {
 }
 
 // watchExit ends an instance: it accounts the body and, when the body
-// completed, reads the outputs off the run's books.
+// completed, reads the outputs off the run's books; a dep watch then
+// counts the instance's footprint in its census, as a flat watch counts
+// its key on entry.
 func (mc *Machine) watchExit(w *watch, t inst, c ctrl, fr *Seg) {
 	if t.before < 0 {
 		return
@@ -331,11 +340,15 @@ func (mc *Machine) watchExit(w *watch, t inst, c ctrl, fr *Seg) {
 		return
 	}
 	if mc.sideWork(w, func() { mc.wt.words = mc.readOutputs(mc.wt.words[:0], w.outs, fr) }) && t.sc != nil {
-		w.Dep.Record(t.sc.w.path, mc.wt.words)
+		path := t.sc.w.path
+		mc.wt.key = depmemo.EncodeSteps(mc.wt.key[:0], path)
+		w.count(mc.wt.key, maphash.Bytes(mc.wt.seed, mc.wt.key), mc.wt.probes)
+		mc.wt.probes++
+		w.stats.FootprintSum += int64(len(path))
+		w.stats.MaxFootprint = max(w.stats.MaxFootprint, len(path))
 		if w.Bounded {
-			st := w.Dep.Stats()
-			work := w.stats.Run.Instances*int64(len(w.ins)) + st.FootprintSum
-			if st.Distinct > censusDistinct && float64(work) > censusShare*float64(mc.cycles) {
+			work := w.stats.Run.Instances*int64(len(w.ins)) + w.stats.FootprintSum
+			if len(w.stats.Census) > censusDistinct && float64(work) > censusShare*float64(mc.cycles) {
 				w.stats.Err = ErrCensusFull
 			}
 		}

@@ -1,9 +1,9 @@
 package interp
 
 import (
+	"fmt"
 	"testing"
 
-	"compreuse/internal/depmemo"
 	"compreuse/internal/minic"
 )
 
@@ -81,9 +81,13 @@ int main() {
 		syms[id.Name] = id.Sym
 	}
 	g2 := minic.Ref(syms["g"], prog.NewIntLit(2))
-	census := func(inner ...*Watch) depmemo.Stats {
-		tab := depmemo.New(depmemo.Config{Name: "loop", Profile: true})
-		outer := &Watch{Body: loop.Body, Dep: tab,
+	// footprints lists the outer watch's census keys with their counts.
+	type footprints struct {
+		keys string
+		sum  int64
+	}
+	census := func(inner ...*Watch) footprints {
+		outer := &Watch{Body: loop.Body, Dep: true,
 			Inputs:  []minic.Expr{minic.Ref(syms["g"], nil), minic.Ref(syms["k"], nil), minic.Ref(syms["s"], nil)},
 			Outputs: []minic.Expr{minic.Ref(syms["s"], nil)}}
 		res, err := RunWatched(prog, Options{}, append([]*Watch{outer}, inner...))
@@ -95,17 +99,22 @@ int main() {
 				t.Fatalf("watch %d: %+v", i, st)
 			}
 		}
-		return tab.Stats()
+		var fp footprints
+		for _, k := range res.Watched[0].Census {
+			fp.keys += fmt.Sprintf("%x:%d;", k.Key, k.Count)
+		}
+		fp.sum = res.Watched[0].FootprintSum
+		return fp
 	}
 	alone := census()
 	flat := &Watch{Body: branch.Then, Inputs: []minic.Expr{g2}, Outputs: []minic.Expr{g2}}
-	dep := &Watch{Body: branch.Then, Dep: depmemo.New(depmemo.Config{Name: "branch", Profile: true}),
+	dep := &Watch{Body: branch.Then, Dep: true,
 		Inputs: []minic.Expr{minic.Ref(syms["s"], nil)}, Outputs: []minic.Expr{g2}}
 	if got := census(flat, dep); got != alone {
 		t.Errorf("footprint census with watches inside %+v, alone %+v", got, alone)
 	}
 	// k and s: the loop body reads nothing else.
-	if alone.FootprintSum != 2*alone.Records {
-		t.Errorf("census %+v, want two reads per instance", alone)
+	if alone.sum != 2*6 {
+		t.Errorf("footprint length sum %d, want two reads per instance", alone.sum)
 	}
 }

@@ -122,7 +122,7 @@ func TestLayoutMatchesRegionProfiling(t *testing.T) {
 				prog, an := analyze(t, p, level)
 				cands := an.Candidates()
 				ro.CollectFreq = true
-				res, err := interp.RunWatched(prog, ro, profile.Watches(cands, nil))
+				res, err := interp.RunWatched(prog, ro, profile.Watches(cands, false))
 				if err != nil {
 					t.Fatal(err)
 				}
