@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race check bench bench-vm bench-pipeline eval serve eval-serve eval-json fuzz loadgen smoke fleet fleet-smoke trace-smoke flights
+.PHONY: build vet test race check bench bench-vm bench-pipeline eval serve eval-serve eval-json fuzz loadgen smoke fleet fleet-smoke trace-smoke flights examples-check
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,12 @@ bench-vm:
 # ns/op and allocs/op.
 bench-pipeline:
 	$(GO) test -run=NONE -bench=BenchmarkCoreRun -benchmem ./internal/core/
+
+# examples-check runs the deterministic examples and diffs each one's
+# output against examples/testdata/<name>.out (-update rewrites them:
+# bash scripts/examples_check.sh -update).
+examples-check:
+	bash scripts/examples_check.sh
 
 # eval regenerates every table and figure of the paper plus the ablations
 # and the concurrent-runtime sweep.
