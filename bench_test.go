@@ -86,8 +86,8 @@ func BenchmarkTable3(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if d := bench.MainDecision(rep); d != nil {
-			b.ReportMetric(d.Profile.ReuseRate(), p.Name+"_R")
+		if sp := bench.MainProfile(rep); sp != nil {
+			b.ReportMetric(sp.ReuseRate(), p.Name+"_R")
 		}
 	}
 }

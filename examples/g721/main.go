@@ -28,10 +28,10 @@ func main() {
 		}
 		fmt.Printf("%s: baseline %.3fs -> reuse %.3fs  speedup %.2fx (paper: %.2fx)\n",
 			level, rep.Baseline.Seconds, rep.Reuse.Seconds, rep.Speedup(), paper[level])
-		for _, d := range rep.Decisions {
-			if d.Selected {
+		for _, rec := range rep.Ledger {
+			if rec.Accepted {
 				fmt.Printf("    %s: N=%d distinct=%d R=%.1f%%\n",
-					d.Name, d.Profile.N, d.Profile.Nds, d.Profile.ReuseRate()*100)
+					rec.Segment, rec.N, rec.Nds, rec.ReuseRate*100)
 			}
 		}
 		for _, t := range rep.Tables {

@@ -36,17 +36,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	d := func() *compreuse.Decision {
-		for i := range rep.Decisions {
-			if rep.Decisions[i].Selected {
-				return &rep.Decisions[i]
-			}
+	for _, rec := range rep.Ledger {
+		if rec.Accepted {
+			fmt.Printf("%s: Reference_IDCT reuse rate %.1f%% over %d blocks (%d distinct)\n\n",
+				prog.Name, rec.ReuseRate*100, rec.N, rec.Nds)
+			break
 		}
-		return nil
-	}()
-	if d != nil {
-		fmt.Printf("%s: Reference_IDCT reuse rate %.1f%% over %d blocks (%d distinct)\n\n",
-			prog.Name, d.Profile.ReuseRate()*100, d.Profile.N, d.Profile.Nds)
 	}
 
 	fmt.Printf("%-28s %-12s %-10s %s\n", "table", "size", "hit ratio", "speedup")

@@ -56,18 +56,17 @@ func main() {
 		rep.SegmentsAnalyzed, rep.SegmentsProfiled, rep.SegmentsTransformed)
 	fmt.Printf("specialized functions: %v\n\n", rep.Specialized)
 
-	for _, d := range rep.Decisions {
-		if !d.Selected {
+	for _, rec := range rep.Ledger {
+		if !rec.Accepted {
 			continue
 		}
-		fmt.Printf("transformed %s:\n", d.Name)
-		fmt.Printf("  instances N        = %d\n", d.Profile.N)
-		fmt.Printf("  distinct inputs    = %d\n", d.Profile.Nds)
-		fmt.Printf("  reuse rate R       = %.1f%%\n", d.Profile.ReuseRate()*100)
-		fmt.Printf("  granularity C      = %.0f cycles (%.2f us at 206MHz)\n",
-			d.Profile.MeasuredC, d.Profile.MeasuredC/206)
-		fmt.Printf("  hashing overhead O = %.0f cycles\n", d.Profile.Overhead)
-		fmt.Printf("  gain R*C - O       = %.0f cycles per instance\n\n", d.Gain)
+		fmt.Printf("transformed %s:\n", rec.Segment)
+		fmt.Printf("  instances N        = %d\n", rec.N)
+		fmt.Printf("  distinct inputs    = %d\n", rec.Nds)
+		fmt.Printf("  reuse rate R       = %.1f%%\n", rec.ReuseRate*100)
+		fmt.Printf("  granularity C      = %.0f cycles (%.2f us at 206MHz)\n", rec.C, rec.C/206)
+		fmt.Printf("  hashing overhead O = %.0f cycles\n", rec.O)
+		fmt.Printf("  gain R*C - O       = %.0f cycles per instance\n\n", rec.Gain)
 	}
 
 	fmt.Printf("baseline: %.4f simulated seconds, %.3f J\n",

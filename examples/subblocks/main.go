@@ -53,10 +53,10 @@ func main() {
 		}
 		fmt.Printf("%-22s transformed=%d speedup=%.2fx\n",
 			label, rep.SegmentsTransformed, rep.Speedup())
-		for _, d := range rep.Decisions {
-			if d.Selected {
+		for _, rec := range rep.Ledger {
+			if rec.Accepted {
 				fmt.Printf("    selected %s (kind %s): R=%.1f%% C=%.0f cycles\n",
-					d.Name, d.Kind, d.Profile.ReuseRate()*100, d.Profile.MeasuredC)
+					rec.Segment, rec.Kind, rec.ReuseRate*100, rec.C)
 			}
 		}
 		return rep

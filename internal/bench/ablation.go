@@ -112,8 +112,8 @@ func ExtensionSubBlocks(w io.Writer, r *Runner) error {
 			return err
 		}
 		subSel := 0
-		for _, d := range ext.Decisions {
-			if d.Selected && d.Kind == "sub" {
+		for _, rec := range ext.Ledger {
+			if rec.Accepted && rec.Kind == "sub" {
 				subSel++
 			}
 		}

@@ -19,18 +19,18 @@ func valueFigure(w io.Writer, r *Runner, prog, title string, buckets int) error 
 	if err != nil {
 		return err
 	}
-	d := MainDecision(rep)
-	if d == nil || d.Profile == nil {
+	sp := MainProfile(rep)
+	if sp == nil {
 		return fmt.Errorf("%s: no profiled main segment", prog)
 	}
 	fmt.Fprintln(w, title)
 	fmt.Fprintf(w, "(segment %s: %d executions, %d distinct input patterns)\n",
-		d.Name, d.Profile.N, d.Profile.Nds)
-	h := profile.ValueHistogram(d.Profile.Census, buckets)
+		sp.Name, sp.N, sp.Nds)
+	h := profile.ValueHistogram(sp.Census, buckets)
 	if h == nil {
 		// Wide keys (multiple inputs): fall back to a rank histogram.
 		fmt.Fprintln(w, "(multi-variable key: histogram by input-pattern rank)")
-		return rankedCensus(w, d.Profile, buckets)
+		return rankedCensus(w, sp, buckets)
 	}
 	labels := make([]string, len(h))
 	values := make([]int64, len(h))
@@ -109,14 +109,14 @@ func Figure11(w io.Writer, r *Runner) error {
 	if err != nil {
 		return err
 	}
-	d := MainDecision(rep)
-	if d == nil || d.Profile == nil {
+	sp := MainProfile(rep)
+	if sp == nil {
 		return fmt.Errorf("RASTA: no main segment")
 	}
 	fmt.Fprintln(w, "Figure 11. Histogram of distinct input patterns in RASTA")
-	labels := make([]string, len(d.Profile.Census))
-	values := make([]int64, len(d.Profile.Census))
-	for i, kc := range d.Profile.Census {
+	labels := make([]string, len(sp.Census))
+	values := make([]int64, len(sp.Census))
+	for i, kc := range sp.Census {
 		labels[i] = fmt.Sprintf("pattern %2d", i)
 		values[i] = kc.Count
 	}

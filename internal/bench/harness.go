@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"compreuse/internal/core"
+	"compreuse/internal/profile"
 )
 
 // Runner executes pipeline runs for the suite, memoizing by (program,
@@ -174,30 +175,29 @@ func (r *Runner) Sweep(name, level string, points []core.SweepPoint) (*core.Repo
 	return rep, outs, nil
 }
 
-// MainDecision returns the "most significant code segment" of a report:
-// the selected segment with the largest whole-run gain (Table 3 shows
-// statistics "only for the most significant code segment").
-func MainDecision(rep *core.Report) *core.Decision {
-	var best *core.Decision
+// MainProfile returns the value-set profile of a report's "most
+// significant code segment": the accepted, flat-profiled segment with
+// the largest whole-run gain (Table 3 shows statistics "only for the
+// most significant code segment").
+func MainProfile(rep *core.Report) *profile.SegProfile {
+	var best *profile.SegProfile
 	bestGain := 0.0
-	for i := range rep.Decisions {
-		d := &rep.Decisions[i]
-		if !d.Selected || d.Profile == nil {
+	for _, rec := range rep.Ledger {
+		sp := rep.Profiles[rec.Segment]
+		if !rec.Accepted || sp == nil {
 			continue
 		}
-		total := d.Gain * float64(d.Profile.N)
-		if best == nil || total > bestGain {
-			best = d
-			bestGain = total
+		if best == nil || rec.TotalGain > bestGain {
+			best, bestGain = sp, rec.TotalGain
 		}
 	}
 	return best
 }
 
-// MainTable returns the table serving the main decision's segment.
+// MainTable returns the table serving the main profile's segment.
 func MainTable(rep *core.Report) *core.TableInfo {
-	d := MainDecision(rep)
-	if d == nil {
+	sp := MainProfile(rep)
+	if sp == nil {
 		if len(rep.Tables) > 0 {
 			return &rep.Tables[0]
 		}
@@ -205,7 +205,7 @@ func MainTable(rep *core.Report) *core.TableInfo {
 	}
 	for i := range rep.Tables {
 		for _, s := range rep.Tables[i].Segs {
-			if s == d.Name {
+			if s == sp.Name {
 				return &rep.Tables[i]
 			}
 		}

@@ -35,9 +35,8 @@ func TestSuiteSmoke(t *testing.T) {
 				t.Fatalf("semantics broken: ret %d vs %d", rep.Baseline.Ret, rep.Reuse.Ret)
 			}
 			if rep.SegmentsTransformed == 0 {
-				for _, d := range rep.Decisions {
-					t.Logf("%s elig=%v(%s) oc=%v freq=%v gain=%.0f sel=%v",
-						d.Name, d.Eligible, d.Reason, d.PassedOC, d.PassedFreq, d.Gain, d.Selected)
+				for _, rec := range rep.Ledger {
+					t.Logf("%s accepted=%v gain=%.0f (%s)", rec.Segment, rec.Accepted, rec.Gain, rec.Reason)
 				}
 				t.Fatal("nothing transformed")
 			}

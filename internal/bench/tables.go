@@ -24,12 +24,11 @@ func Table3(w io.Writer, r *Runner) error {
 		if err != nil {
 			return err
 		}
-		d := MainDecision(rep)
-		if d == nil {
+		sp := MainProfile(rep)
+		if sp == nil {
 			rows = append(rows, []string{p.Name, "-", "-", "-", "-", "-"})
 			continue
 		}
-		sp := d.Profile
 		tab := MainTable(rep)
 		size := "-"
 		if tab != nil {

@@ -32,9 +32,10 @@ func checkDepCensus(t *testing.T, o Options, rep *Report) (folded bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The flat-selected segments: dep-accepted ones have no flat profile.
 	selected := map[string]bool{}
-	for _, d := range rep.Decisions {
-		selected[d.Name] = d.Selected
+	for _, rec := range rep.Ledger {
+		selected[rec.Segment] = rec.Accepted && rep.Profiles[rec.Segment] != nil
 	}
 	var selSegs []*segment.Segment
 	for _, s := range pa.an.Segments {

@@ -24,6 +24,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -64,13 +65,6 @@ type Options struct {
 	NoMerge bool
 	// NoSpecialize disables code specialization (§2.4 ablation).
 	NoSpecialize bool
-	// ForceEntries, when positive, overrides every table's entry count
-	// (used by the limited-buffer study, Table 5, and the size sweeps,
-	// Figures 14/15).
-	ForceEntries int
-	// LRU selects associative LRU tables instead of direct addressing
-	// (only meaningful with ForceEntries; Table 5).
-	LRU bool
 	// MaxSizeFactor caps the optimal table sizing search (default 4).
 	MaxSizeFactor float64
 	// SubBlocks enables the sub-block segment extension (the paper's §5
@@ -91,8 +85,6 @@ type Options struct {
 	// profiling runs are skipped and decisions are made from the snapshot.
 	// It must have been taken on the same source at the same OptLevel.
 	Profile *profile.Snapshot
-	// EnergyParams defaults to energy.Default().
-	EnergyParams *energy.Params
 }
 
 // RunSummary is one measured execution.
@@ -102,20 +94,6 @@ type RunSummary struct {
 	Seconds float64
 	Energy  energy.Measurement
 	Output  string
-}
-
-// Decision records what the scheme concluded about one segment.
-type Decision struct {
-	Name       string
-	Kind       string
-	Eligible   bool
-	Reason     string
-	PassedFreq bool
-	PassedOC   bool
-	Profiled   bool
-	Profile    *profile.SegProfile
-	Gain       float64 // per-instance, cycles
-	Selected   bool
 }
 
 // TableInfo describes one instantiated reuse table after the final run.
@@ -151,11 +129,13 @@ type Report struct {
 	SegmentsTransformed int
 	Specialized         []string
 
-	Decisions []Decision
-	// Ledger is the structured decision ledger: one record per analyzed
-	// segment with the observed quantities of formulas (1)-(4) and the
-	// accept/reject verdict (see DecisionRecord; LedgerJSON serializes it).
-	Ledger   []DecisionRecord
+	// Ledger is the structured decision ledger, the compile's only
+	// per-segment record: one record per analyzed segment with the
+	// observed quantities of formulas (1)-(4) and the accept/reject
+	// verdict (see DecisionRecord; LedgerJSON serializes it).
+	Ledger []DecisionRecord
+	// Profiles holds the value-set profile (census) of each segment that
+	// reached flat-key value-set profiling, by segment name.
 	Profiles map[string]*profile.SegProfile
 	// DepProfiles holds the dependence-footprint census for each segment
 	// the dep-key second chance profiled (Options.DepKeys; nil otherwise).
@@ -245,16 +225,12 @@ func (o *Options) runOpts(model *cost.Model, freq bool, args []int64) interp.Opt
 	}
 }
 
-func (o *Options) summarize(res *interp.Result) RunSummary {
-	ep := energy.Default()
-	if o.EnergyParams != nil {
-		ep = *o.EnergyParams
-	}
+func summarize(res *interp.Result) RunSummary {
 	return RunSummary{
 		Ret:     res.Ret,
 		Cycles:  res.Cycles,
 		Seconds: res.Seconds(),
-		Energy:  energy.Measure(res, ep),
+		Energy:  energy.Measure(res, energy.Default()),
 		Output:  res.Output,
 	}
 }
@@ -288,27 +264,11 @@ func RunSweep(o Options, points []SweepPoint) (*Report, []SweepOutcome, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Measure the compiled program per point with fresh tables.
 	var outcomes []SweepOutcome
 	for _, pt := range points {
-		tabs, depTabs := c.o.newTables(c.tres, rep, pt.Entries, pt.LRU)
-		res, err := c.measure(tabs, depTabs)
+		out, _, err := c.measure(rep, pt)
 		if err != nil {
 			return nil, nil, fmt.Errorf("sweep point %+v: %w", pt, err)
-		}
-		out := SweepOutcome{Point: pt, Reuse: c.o.summarize(res)}
-		for _, ts := range c.tres.Tables {
-			var info TableInfo
-			if ts.Dep {
-				info = depTableInfo(ts, depTabs[ts.ID], rep.DepProfiles[ts.Name], res, c.tres)
-			} else {
-				info = flatTableInfo(ts, tabs[ts.ID])
-			}
-			out.Tables = append(out.Tables, info)
-			out.SizeBytes += info.SizeBytes
-		}
-		if out.Reuse.Cycles > 0 {
-			out.Speedup = float64(rep.Baseline.Cycles) / float64(out.Reuse.Cycles)
 		}
 		outcomes = append(outcomes, out)
 	}
@@ -433,8 +393,8 @@ func compile(o Options) (*Report, *compiled, error) {
 		if profiles, err = profile.Layout(cands, res.Watched[:len(cands)], candidates, model); err != nil {
 			return nil, nil, err
 		}
-		if measured = sameArgs(o.MainArgs, measureArgs); measured {
-			rep.Baseline = o.summarize(res)
+		if measured = slices.Equal(o.MainArgs, measureArgs); measured {
+			rep.Baseline = summarize(res)
 		}
 	}
 	if !measured {
@@ -442,7 +402,7 @@ func compile(o Options) (*Report, *compiled, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("baseline run: %w", err)
 		}
-		rep.Baseline = o.summarize(res)
+		rep.Baseline = summarize(res)
 	}
 	passedFreq := map[string]bool{}
 	for _, s := range candidates {
@@ -510,22 +470,6 @@ func compile(o Options) (*Report, *compiled, error) {
 	rep.DepProfiles = depProfiles
 	rep.SegmentsTransformed = len(selected) + len(depNames)
 
-	// Record decisions for every analyzed segment.
-	for _, s := range pa.an.Segments {
-		d := Decision{
-			Name: s.Name, Kind: s.Kind.String(),
-			Eligible: s.Eligible, Reason: s.Reason,
-			PassedOC:   s.RatioOK(),
-			PassedFreq: passedFreq[s.Name],
-			Selected:   selectedNames[s.Name],
-		}
-		if sp := profiles[s.Name]; sp != nil {
-			d.Profiled = true
-			d.Profile = sp
-			d.Gain = sp.Gain()
-		}
-		rep.Decisions = append(rep.Decisions, d)
-	}
 	// Static reuse-rate estimation R̂ — computed from the analysis alone
 	// (no profiling data), recorded next to the profiled R so the report
 	// layer can measure the estimator's error and the serving tier can
@@ -543,49 +487,44 @@ func compile(o Options) (*Report, *compiled, error) {
 	tres := transform.Apply(pa.prog, final, transform.Options{NoMerge: o.NoMerge, DepSegs: depNames})
 	rep.TransformedSource = minic.Print(pa.prog)
 	c := &compiled{o: o, model: model, measureArgs: measureArgs, prog: pa.prog, tres: tres}
-	tabs, depTabs := o.newTables(tres, rep, o.ForceEntries, o.LRU && o.ForceEntries > 0)
-	reuseRes, err := c.measure(tabs, depTabs)
+	out, tabs, err := c.measure(rep, SweepPoint{})
 	if err != nil {
 		return nil, nil, fmt.Errorf("transformed run: %w", err)
 	}
-	rep.Reuse = o.summarize(reuseRes)
-
-	for _, ts := range tres.Tables {
+	rep.Reuse, rep.Tables = out.Reuse, out.Tables
+	for i, ts := range tres.Tables {
+		info := &rep.Tables[i]
 		if ts.Dep {
-			info := depTableInfo(ts, depTabs[ts.ID], depProfiles[ts.Name], reuseRes, tres)
 			if st := info.Stats; st.Probes > 0 {
-				hr := float64(st.Hits) / float64(st.Probes)
-				for i := range rep.Ledger {
-					if rep.Ledger[i].Segment == ts.Name {
-						rep.Ledger[i].DepHitRate = hr
+				for j := range rep.Ledger {
+					if rep.Ledger[j].Segment == ts.Name {
+						rep.Ledger[j].DepHitRate = float64(st.Hits) / float64(st.Probes)
 					}
 				}
 			}
-			rep.Tables = append(rep.Tables, info)
 			continue
 		}
-		info := flatTableInfo(ts, tabs[ts.ID])
 		info.AccessCounts = tabs[ts.ID].AccessCounts()
 		if sp := rep.Profiles[ts.Segs[0].Name]; sp != nil {
 			info.PredictedCollisionRate = profile.CollisionDeduction(sp.Census, info.Entries)
 		}
-		rep.Tables = append(rep.Tables, info)
 	}
 	return rep, c, nil
 }
 
 // newTables instantiates fresh tables for a transformed program: flat
-// tables of entries each (0 = the profiling-derived optimal size), with
-// LRU replacement when lru is set, and footprint tries sized from the
-// dependence census (entries, when positive, overrides that size too).
-func (o *Options) newTables(tres *transform.Result, rep *Report, entries int, lru bool) (map[int]*reusetab.Table, map[int]*depmemo.Table) {
+// tables of pt.Entries each (0 = the profiling-derived optimal size),
+// with LRU replacement when pt.LRU is set, and footprint tries sized from
+// the dependence census (pt.Entries, when positive, overrides that size
+// too). The compile's own measurement uses the zero SweepPoint.
+func (o *Options) newTables(tres *transform.Result, rep *Report, pt SweepPoint) (map[int]*reusetab.Table, map[int]*depmemo.Table) {
 	tabs := map[int]*reusetab.Table{}
 	depTabs := map[int]*depmemo.Table{}
 	for _, ts := range tres.Tables {
-		n := entries
+		n := pt.Entries
 		if ts.Dep {
 			if n <= 0 {
-				n = depTableEntries(o, rep.DepProfiles[ts.Name])
+				n = depTableEntries(rep.DepProfiles[ts.Name])
 			}
 			depTabs[ts.ID] = depmemo.New(ts.DepConfig(n, false))
 			continue
@@ -593,20 +532,40 @@ func (o *Options) newTables(tres *transform.Result, rep *Report, entries int, lr
 		if n <= 0 {
 			n = o.optimalEntries(ts, rep.Profiles)
 		}
-		tabs[ts.ID] = reusetab.New(ts.Config(reusetab.ModeReuse, n, lru))
+		tabs[ts.ID] = reusetab.New(ts.Config(reusetab.ModeReuse, n, pt.LRU))
 	}
 	return tabs, depTabs
 }
 
 // measure runs the transformed program on the measurement input with
-// the given tables.
-func (c *compiled) measure(tabs map[int]*reusetab.Table, depTabs map[int]*depmemo.Table) (*interp.Result, error) {
+// fresh tables configured by pt, and describes each table after the run
+// (in c.tres.Tables order). It also returns the flat tables, by ID.
+func (c *compiled) measure(rep *Report, pt SweepPoint) (SweepOutcome, map[int]*reusetab.Table, error) {
+	tabs, depTabs := c.o.newTables(c.tres, rep, pt)
 	ro := c.o.runOpts(c.model, false, c.measureArgs)
 	ro.Tables = tabs
 	if len(depTabs) > 0 {
 		ro.DepTables = depTabs
 	}
-	return execute(c.prog, ro, nil)
+	res, err := execute(c.prog, ro, nil)
+	if err != nil {
+		return SweepOutcome{}, nil, err
+	}
+	out := SweepOutcome{Point: pt, Reuse: summarize(res)}
+	for _, ts := range c.tres.Tables {
+		var info TableInfo
+		if ts.Dep {
+			info = depTableInfo(ts, depTabs[ts.ID], rep.DepProfiles[ts.Name], res, c.tres)
+		} else {
+			info = flatTableInfo(ts, tabs[ts.ID])
+		}
+		out.Tables = append(out.Tables, info)
+		out.SizeBytes += info.SizeBytes
+	}
+	if out.Reuse.Cycles > 0 {
+		out.Speedup = float64(rep.Baseline.Cycles) / float64(out.Reuse.Cycles)
+	}
+	return out, tabs, nil
 }
 
 // flatTableInfo describes a flat table after a measurement run.
@@ -706,16 +665,4 @@ func dropOverlapping(selected []*nesting.Candidate) []*nesting.Candidate {
 	}
 	sort.Slice(kept, func(i, j int) bool { return kept[i].Seg.Index < kept[j].Seg.Index })
 	return kept
-}
-
-func sameArgs(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -52,10 +52,7 @@ func TestPipelineG721MiniO0(t *testing.T) {
 		t.Fatalf("analyzed %d segments", rep.SegmentsAnalyzed)
 	}
 	if rep.SegmentsTransformed < 1 {
-		for _, d := range rep.Decisions {
-			t.Logf("%s: eligible=%v oc=%v freq=%v profiled=%v gain=%.1f selected=%v (%s)",
-				d.Name, d.Eligible, d.PassedOC, d.PassedFreq, d.Profiled, d.Gain, d.Selected, d.Reason)
-		}
+		logLedger(t, rep)
 		t.Fatal("nothing transformed")
 	}
 	// Semantics preserved.
@@ -64,17 +61,13 @@ func TestPipelineG721MiniO0(t *testing.T) {
 	}
 	// A quan-specialized segment must be among the selected.
 	found := false
-	for _, d := range rep.Decisions {
-		if d.Selected && strings.HasPrefix(d.Name, "quan__spec") {
+	for _, rec := range rep.Ledger {
+		if rec.Accepted && strings.HasPrefix(rec.Segment, "quan__spec") {
 			found = true
 		}
 	}
 	if !found {
-		for _, d := range rep.Decisions {
-			if d.Selected {
-				t.Logf("selected: %s", d.Name)
-			}
-		}
+		logLedger(t, rep)
 		t.Fatal("specialized quan not selected")
 	}
 	// Speedup: sample values repeat heavily (1024 distinct over 3000
@@ -94,6 +87,14 @@ func TestPipelineG721MiniO0(t *testing.T) {
 	}
 	if tab.SizeBytes <= 0 || tab.Entries <= 0 {
 		t.Fatalf("table sizing: %+v", tab)
+	}
+}
+
+// logLedger logs every ledger record: its verdict, gain and reason.
+func logLedger(t *testing.T, rep *Report) {
+	t.Helper()
+	for _, rec := range rep.Ledger {
+		t.Logf("%s kind=%s accepted=%v gain=%.1f (%s)", rec.Segment, rec.Kind, rec.Accepted, rec.Gain, rec.Reason)
 	}
 }
 
@@ -122,15 +123,12 @@ func TestPipelineO3StillWins(t *testing.T) {
 func TestPipelineForcedSmallTableLRU(t *testing.T) {
 	// Table 5's study: a tiny LRU buffer slashes the hit ratio for a
 	// program with many distinct inputs.
-	big, err := Run(Options{Name: "g721mini", Source: g721Mini})
+	big, outs, err := RunSweep(Options{Name: "g721mini", Source: g721Mini}, []SweepPoint{{Entries: 4, LRU: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := Run(Options{Name: "g721mini", Source: g721Mini, ForceEntries: 4, LRU: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.Baseline.Ret != small.Reuse.Ret {
+	small := outs[0]
+	if small.Reuse.Ret != big.Baseline.Ret || small.Reuse.Output != big.Baseline.Output {
 		t.Fatal("semantics broken with small table")
 	}
 	bigHit := big.Tables[0].Stats.HitRatio()
@@ -171,9 +169,7 @@ int main(int seed, int n) {
 		t.Fatal(err)
 	}
 	if rep.SegmentsTransformed == 0 {
-		for _, d := range rep.Decisions {
-			t.Logf("%s: eligible=%v(%s) oc=%v freq=%v gain=%.1f", d.Name, d.Eligible, d.Reason, d.PassedOC, d.PassedFreq, d.Gain)
-		}
+		logLedger(t, rep)
 		t.Fatal("nothing transformed")
 	}
 	if rep.Baseline.Ret != rep.Reuse.Ret {
@@ -209,11 +205,7 @@ int main(void) {
 		t.Fatal(err)
 	}
 	if rep.SegmentsTransformed != 0 {
-		for _, d := range rep.Decisions {
-			if d.Selected {
-				t.Logf("selected %s gain=%v profile=%+v", d.Name, d.Gain, d.Profile)
-			}
-		}
+		logLedger(t, rep)
 		t.Fatal("unprofitable program must not be transformed")
 	}
 	if rep.Baseline.Ret != rep.Reuse.Ret {
@@ -271,11 +263,7 @@ int main(void) {
 		t.Fatal(err)
 	}
 	if plain.SegmentsTransformed != 0 {
-		for _, d := range plain.Decisions {
-			if d.Selected {
-				t.Logf("selected %s", d.Name)
-			}
-		}
+		logLedger(t, plain)
 		t.Fatal("without sub-blocks nothing should be transformable")
 	}
 	sub, err := Run(Options{Name: "p.c", Source: src, SubBlocks: true})
@@ -283,10 +271,7 @@ int main(void) {
 		t.Fatal(err)
 	}
 	if sub.SegmentsTransformed == 0 {
-		for _, d := range sub.Decisions {
-			t.Logf("%s kind=%s elig=%v(%s) oc=%v freq=%v gain=%.0f",
-				d.Name, d.Kind, d.Eligible, d.Reason, d.PassedOC, d.PassedFreq, d.Gain)
-		}
+		logLedger(t, sub)
 		t.Fatal("sub-block extension found nothing")
 	}
 	if sub.Baseline.Ret != sub.Reuse.Ret || sub.Baseline.Output != sub.Reuse.Output {
@@ -296,8 +281,8 @@ int main(void) {
 		t.Fatalf("sub-block speedup = %.3f", sub.Speedup())
 	}
 	found := false
-	for _, d := range sub.Decisions {
-		if d.Selected && d.Kind == "sub" {
+	for _, rec := range sub.Ledger {
+		if rec.Accepted && rec.Kind == "sub" {
 			found = true
 		}
 	}

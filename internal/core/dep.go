@@ -195,10 +195,7 @@ func depProfile(s *segment.Segment, st *interp.WatchStats, nested int64, model *
 
 // depTableEntries sizes a final-run footprint table from the profiled
 // distinct-footprint count, clamped to keep degenerate profiles sane.
-func depTableEntries(o *Options, dp *DepSegProfile) int {
-	if o.ForceEntries > 0 {
-		return o.ForceEntries
-	}
+func depTableEntries(dp *DepSegProfile) int {
 	n := int64(64)
 	if dp != nil && dp.Nds > n {
 		n = dp.Nds

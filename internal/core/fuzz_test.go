@@ -77,9 +77,9 @@ func TestFuzzPipelinePreservesSemantics(t *testing.T) {
 			t.Fatalf("iter %d: %v\n%s", i, err, src)
 		}
 		if rep.Baseline.Ret != rep.Reuse.Ret || rep.Baseline.Output != rep.Reuse.Output {
-			for _, d := range rep.Decisions {
-				if d.Selected {
-					t.Logf("selected: %s", d.Name)
+			for _, rec := range rep.Ledger {
+				if rec.Accepted {
+					t.Logf("selected: %s", rec.Segment)
 				}
 			}
 			t.Fatalf("iter %d: pipeline changed semantics: ret %d->%d\n%s\n--- transformed ---\n%s",

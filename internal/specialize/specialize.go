@@ -208,10 +208,6 @@ func (sp *specializer) specializeFunc(fn *minic.FuncDecl, res *Result) {
 	}
 }
 
-func allParamsSpecialized(specs map[int]argSpec, fn *minic.FuncDecl) bool {
-	return len(specs) == len(fn.Params)
-}
-
 func keptParams(fn *minic.FuncDecl, specs map[int]argSpec) []int {
 	var kept []int
 	for i := range fn.Params {
