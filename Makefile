@@ -32,9 +32,12 @@ bench-vm:
 
 # bench-pipeline runs core.Run end to end on one suite program (GNUGO)
 # at scale-8 inputs, at O0, O3 and O0 with dependence keys, reporting
-# ns/op and allocs/op.
+# ns/op and allocs/op; then the watched frequency run against a plain
+# run of each core program at the same settings (BenchmarkWatchedRun),
+# reporting watched/plain.
 bench-pipeline:
 	$(GO) test -run=NONE -bench=BenchmarkCoreRun -benchmem ./internal/core/
+	$(GO) test -run=NONE -bench=BenchmarkWatchedRun -benchmem ./internal/core/
 
 # examples-check runs the deterministic examples and diffs each one's
 # output against examples/testdata/<name>.out (-update rewrites them:

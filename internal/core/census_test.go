@@ -1,10 +1,13 @@
 package core_test
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
 	"compreuse/internal/bench"
 	"compreuse/internal/core"
+	"compreuse/internal/profile"
 )
 
 // TestDepCensusFoldMatchesSeparateRun checks the dependence-footprint
@@ -65,5 +68,54 @@ func TestDepCensusRetakeMatchesSeparateRun(t *testing.T) {
 	}
 	if core.CheckDepCensus(t, o, rep) {
 		t.Fatal("the frequency run served the census the compile retook")
+	}
+}
+
+// TestSnapshotOutlivesLaterCompiles saves a compile's profile snapshot,
+// runs more compiles and a collection, and saves the snapshot again,
+// from the same report and from the snapshot taken first: all three must
+// be byte-identical. A profile's census keys alias the arena its watched
+// run stored them in, so no later run may reuse that memory.
+func TestSnapshotOutlivesLaterCompiles(t *testing.T) {
+	compile := func(name string) *core.Report {
+		t.Helper()
+		p, err := bench.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := p.RunOptions("O0")
+		o.MainArgs = append([]int64(nil), o.MainArgs...)
+		o.MainArgs[1] = max(1, o.MainArgs[1]/8)
+		o.MinFreq = 8
+		o.DepKeys = true
+		rep, err := core.Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	save := func(s *profile.Snapshot) []byte {
+		t.Helper()
+		var b bytes.Buffer
+		if err := s.Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	rep := compile("MPEG2_decode")
+	snap := rep.Snapshot()
+	want := save(snap)
+	if !bytes.Contains(want, []byte("Reference_IDCT@loop3")) {
+		t.Fatal("the snapshot lacks the census it is meant to keep")
+	}
+	for _, name := range []string{"MPEG2_encode", "GNUGO"} {
+		compile(name)
+		runtime.GC()
+	}
+	if got := save(rep.Snapshot()); !bytes.Equal(got, want) {
+		t.Error("a report's snapshot changed after later compiles")
+	}
+	if got := save(snap); !bytes.Equal(got, want) {
+		t.Error("a saved snapshot changed after later compiles")
 	}
 }

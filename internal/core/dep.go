@@ -169,13 +169,13 @@ func depProfile(s *segment.Segment, st *interp.WatchStats, nested int64, model *
 		return nil
 	}
 	var records int64
-	for _, k := range st.Census {
-		records += k.Count
+	for i := range st.Census.Len() {
+		records += st.Census.At(i).Count
 	}
 	dp := &DepSegProfile{
 		Segment:      s.Name,
 		N:            st.Run.Instances,
-		Nds:          int64(len(st.Census)),
+		Nds:          int64(st.Census.Len()),
 		MeasuredC:    float64(st.Run.BodyCycles+nested) / float64(st.Run.BodyRuns),
 		MaxFootprint: st.MaxFootprint,
 		FullOverhead: s.Overhead,

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/maphash"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"compreuse/internal/depmemo"
@@ -115,8 +116,8 @@ int main(int n) {
 	if n := steadyAllocs(t, run); n != 0 {
 		t.Errorf("census hits allocate: %v allocs beyond a short run, want 0", n)
 	}
-	if len(last.Census) != 8 || last.Census[3].Count != 250 || last.Err != nil {
-		t.Errorf("census %+v (err %v), want 8 keys seen 250 times each", last.Census, last.Err)
+	if last.Census.Len() != 8 || last.Census.At(3).Count != 250 || last.Err != nil {
+		t.Errorf("census of %d keys (err %v), want 8 keys seen 250 times each", last.Census.Len(), last.Err)
 	}
 }
 
@@ -132,8 +133,17 @@ func TestWatchCensusCollisionHitZeroAlloc(t *testing.T) {
 	w.count(a, h, 2)
 	w.count(b, h, 3)
 	w.count(b, h, 4)
-	want := []KeySeen{{Key: "key-a", Count: 2, First: 0}, {Key: "key-b", Count: 3, First: 1}}
-	if got := w.stats.Census; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+	type seen struct {
+		key          string
+		count, first int64
+	}
+	want := []seen{{"key-a", 2, 0}, {"key-b", 3, 1}}
+	var got []seen
+	for i := range w.stats.Census.Len() {
+		k := w.stats.Census.At(i)
+		got = append(got, seen{w.stats.Census.Key(i), k.Count, k.First})
+	}
+	if !slices.Equal(got, want) {
 		t.Fatalf("census %+v, want %+v", got, want)
 	}
 	if n := testing.AllocsPerRun(100, func() { w.count(b, h, 5) }); n != 0 {
@@ -142,9 +152,9 @@ func TestWatchCensusCollisionHitZeroAlloc(t *testing.T) {
 }
 
 // TestWatchCensusAllocsPerChunk pins what a census of n distinct keys
-// allocates: the keys go back to back into chunked arenas and the index
-// and entry list double, so a census allocates per chunk and per
-// doubling, never per key.
+// allocates: the keys go back to back into chunked arenas, the entries
+// into chunks of entryChunk, and the index doubles, so a census
+// allocates per chunk and per doubling, never per key.
 func TestWatchCensusAllocsPerChunk(t *testing.T) {
 	const keyLen = 16
 	census := func(n int) float64 {
@@ -155,14 +165,13 @@ func TestWatchCensusAllocsPerChunk(t *testing.T) {
 				binary.LittleEndian.PutUint64(key, uint64(i))
 				w.count(key, maphash.Bytes(w.seed, key), int64(i))
 			}
-			if len(w.stats.Census) != n {
-				t.Fatalf("census holds %d keys, want %d", len(w.stats.Census), n)
+			if w.stats.Census.Len() != n {
+				t.Fatalf("census holds %d keys, want %d", w.stats.Census.Len(), n)
 			}
 		})
 	}
 	for _, n := range []int{1 << 10, 1 << 14, 1 << 17} {
-		doublings := 2 * bits.Len(uint(n))
-		chunks := bits.Len(maxChunk/minChunk) + n*keyLen/maxChunk
+		doublings, chunks := censusAllocs(n, keyLen)
 		// A few more for the index's first table and the race
 		// detector's own bookkeeping.
 		const slack = 8
@@ -173,6 +182,16 @@ func TestWatchCensusAllocsPerChunk(t *testing.T) {
 				n, got, doublings, chunks, slack)
 		}
 	}
+}
+
+// censusAllocs bounds the doublings and the chunks of a census of n
+// distinct keys of keyLen bytes: the index and the list of entry chunks
+// double, entries take chunks of entryChunk, and the arena's chunks
+// double up to maxChunk bytes.
+func censusAllocs(n, keyLen int) (doublings, chunks int) {
+	doublings = bits.Len(uint(n)) + bits.Len(uint(n/entryChunk))
+	chunks = n/entryChunk + 1 + bits.Len(maxChunk/minChunk) + n*keyLen/maxChunk
+	return doublings, chunks
 }
 
 // depCensusProgram's branch computes r from j and one cell of tbl, so
@@ -229,7 +248,7 @@ func TestDepWatchCensusZeroAllocSteadyState(t *testing.T) {
 	if n := steadyAllocs(t, run); n != 0 {
 		t.Errorf("footprint census hits allocate: %v allocs beyond a short run, want 0", n)
 	}
-	if len(last.Census) != 8 || last.Census[3].Count != 250 || last.FootprintSum != 2*2000 ||
+	if last.Census.Len() != 8 || last.Census.At(3).Count != 250 || last.FootprintSum != 2*2000 ||
 		last.MaxFootprint != 2 || last.Err != nil {
 		t.Errorf("census %+v, want 8 two-read footprints seen 250 times each", last)
 	}
@@ -240,7 +259,7 @@ func TestDepWatchCensusZeroAllocSteadyState(t *testing.T) {
 // instances: its keys share the flat census's arena and index, so it
 // allocates per chunk and per doubling, never per footprint.
 func TestDepWatchCensusAllocsPerChunk(t *testing.T) {
-	const keyLen = 2 * 14 // two EncodeSteps granules
+	const keyLen = 2 * 8 // two labels
 	prog, w := depCensusWatch(t)
 	census := func(n, m int64) float64 {
 		return testing.AllocsPerRun(3, func() {
@@ -248,14 +267,13 @@ func TestDepWatchCensusAllocsPerChunk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st := res.Watched[0]; int64(len(st.Census)) != m || st.FootprintSum != 2*n {
-				t.Fatalf("census of %d footprints over %d instances, want %d", len(st.Census), n, m)
+			if st := res.Watched[0]; int64(st.Census.Len()) != m || st.FootprintSum != 2*n {
+				t.Fatalf("census of %d footprints over %d instances, want %d", st.Census.Len(), n, m)
 			}
 		})
 	}
 	for _, n := range []int{1 << 10, 1 << 14, 1 << 17} {
-		doublings := 2 * bits.Len(uint(n))
-		chunks := bits.Len(maxChunk/minChunk) + n*keyLen/maxChunk
+		doublings, chunks := censusAllocs(n, keyLen)
 		const slack = 8
 		got := census(int64(n), int64(n)) - census(int64(n), 1)
 		t.Logf("%d footprints: %v allocations", n, got)

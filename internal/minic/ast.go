@@ -532,11 +532,3 @@ func (p *Program) NewReuseRegion(tableID, segBit int, name string) *ReuseRegion 
 	r.id = p.NewID()
 	return r
 }
-
-// NewCall returns a typed call to a declared function.
-func (p *Program) NewCall(fn *FuncDecl, args ...Expr) *Call {
-	c := &Call{Fun: p.NewIdent(fn.Sym), Args: args}
-	c.id = p.NewID()
-	c.typ = fn.Ret
-	return c
-}

@@ -35,16 +35,6 @@ func Parse(name, src string) (*Program, error) {
 	return prog, nil
 }
 
-// MustParse parses src and panics on error; intended for embedded workload
-// sources and tests.
-func MustParse(name, src string) *Program {
-	prog, err := Parse(name, src)
-	if err != nil {
-		panic(err)
-	}
-	return prog
-}
-
 func (p *Parser) cur() Token { return p.toks[p.pos] }
 func (p *Parser) at(k TokKind) bool {
 	return p.toks[p.pos].Kind == k

@@ -11,12 +11,6 @@ var builtinSigs = map[string]*FuncType{
 	"__assert":    {Params: []Type{IntType}, Ret: VoidType},
 }
 
-// IsBuiltin reports whether name is a MiniC builtin function.
-func IsBuiltin(name string) bool {
-	_, ok := builtinSigs[name]
-	return ok
-}
-
 // Checker resolves names and types for a parsed Program. Use Check.
 type Checker struct {
 	prog     *Program

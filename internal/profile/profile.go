@@ -178,13 +178,14 @@ func layoutTable(profiles map[string]*SegProfile, group, wave []*segment.Segment
 		// its indices and its counts are the table's access counts.
 		s := group[0]
 		st := &stats[idx[s]]
-		census := make([]reusetab.KeyCount, len(st.Census))
+		census := make([]reusetab.KeyCount, st.Census.Len())
 		var access []int64
 		if len(census) > 0 {
 			access = make([]int64, len(census))
 		}
-		for i, k := range st.Census {
-			census[i] = reusetab.KeyCount{Key: k.Key, Count: k.Count, Rank: i}
+		for i := range census {
+			k := st.Census.At(i)
+			census[i] = reusetab.KeyCount{Key: st.Census.Key(i), Count: k.Count, Rank: i}
 			access[i] = k.Count
 		}
 		profiles[s.Name] = segProfile(s, st, name, census, access, wave, idx, model)
@@ -202,13 +203,14 @@ func layoutTable(profiles map[string]*SegProfile, group, wave []*segment.Segment
 	index := map[string]int{}
 	unionOf := make([][]int, len(group))
 	for m, s := range group {
-		census := stats[idx[s]].Census
-		unionOf[m] = make([]int, len(census))
-		for i, k := range census {
-			u, seen := index[k.Key]
+		census := &stats[idx[s]].Census
+		unionOf[m] = make([]int, census.Len())
+		for i := range unionOf[m] {
+			k, ks := census.At(i), census.Key(i)
+			u, seen := index[ks]
 			if !seen {
 				u = len(union)
-				index[k.Key] = u
+				index[ks] = u
 				union = append(union, key{first: k.First})
 			}
 			union[u].first = min(union[u].first, k.First)
@@ -233,9 +235,9 @@ func layoutTable(profiles map[string]*SegProfile, group, wave []*segment.Segment
 
 	for m, s := range group {
 		st := &stats[idx[s]]
-		census := make([]reusetab.KeyCount, len(st.Census))
-		for i, k := range st.Census {
-			census[i] = reusetab.KeyCount{Key: k.Key, Count: k.Count, Rank: rank[unionOf[m][i]]}
+		census := make([]reusetab.KeyCount, st.Census.Len())
+		for i := range census {
+			census[i] = reusetab.KeyCount{Key: st.Census.Key(i), Count: st.Census.At(i).Count, Rank: rank[unionOf[m][i]]}
 		}
 		sort.Slice(census, func(i, j int) bool { return census[i].Rank < census[j].Rank })
 		profiles[s.Name] = segProfile(s, st, name, census, append([]int64(nil), access...), wave, idx, model)

@@ -1,9 +1,6 @@
 package segment
 
-import (
-	"compreuse/internal/cost"
-	"compreuse/internal/minic"
-)
+import "compreuse/internal/cost"
 
 // Dependence-key eligibility: a second chance for segments the flat-key
 // O/C >= 1 filter rejected. A dependence-tracked probe (internal/depmemo)
@@ -57,18 +54,6 @@ func (s *Segment) DepInputs() []Input {
 		out = append(out, Input{Sym: s.AddrVar})
 	}
 	return out
-}
-
-// HasAggregateInput reports whether any keyed input is an aggregate —
-// the case where dependence narrowing has room to work (scalar-only
-// keys are already minimal, so the trie can only match HashOverhead).
-func (s *Segment) HasAggregateInput() bool {
-	for _, in := range s.Inputs {
-		if in.Elem == nil && minic.IsAggregate(in.Sym.Type) {
-			return true
-		}
-	}
-	return false
 }
 
 // DepCandidates returns the segments forwarded to dependence-footprint
