@@ -3,7 +3,11 @@
 
 GO ?= go
 
-.PHONY: build vet test race check bench bench-vm bench-pipeline eval serve eval-serve eval-json fuzz loadgen smoke fleet fleet-smoke trace-smoke flights examples-check
+.PHONY: fmt-check unused-check build vet test race check bench bench-vm bench-pipeline eval serve eval-serve eval-json fuzz loadgen smoke fleet fleet-smoke trace-smoke flights examples-check
+
+# fmt-check fails if any file is not gofmt-formatted.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...
@@ -19,7 +23,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-check: build vet race
+# unused-check fails if a function under internal/ is named only by
+# tests (scripts/unused_allow.txt lists the ones kept on purpose).
+unused-check:
+	bash scripts/unused_check.sh
+
+check: fmt-check build vet race unused-check
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem .

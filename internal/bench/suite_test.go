@@ -2,6 +2,8 @@ package bench
 
 import (
 	"testing"
+
+	"compreuse/internal/core"
 )
 
 // TestSuiteSmoke pushes every program through the full pipeline at O0 with
@@ -27,7 +29,7 @@ func TestSuiteSmoke(t *testing.T) {
 			opts := p.RunOptions("O0")
 			opts.MainArgs = small[p.Name]
 			opts.MinFreq = 8 // tiny test sizes fall under the suite threshold
-			rep, err := runCore(opts)
+			rep, err := core.Run(opts)
 			if err != nil {
 				t.Fatal(err)
 			}

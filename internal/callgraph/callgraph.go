@@ -27,10 +27,8 @@ type Edge struct {
 type Graph struct {
 	Prog  *minic.Program
 	Edges []Edge
-	// CalleesOf / CallersOf are adjacency maps (deduplicated, determinate
-	// order).
+	// calleesOf is the adjacency map (deduplicated, determinate order).
 	calleesOf map[*minic.FuncDecl][]*minic.FuncDecl
-	callersOf map[*minic.FuncDecl][]*minic.FuncDecl
 	// SCCs lists the strongly connected components in reverse topological
 	// order (callees before callers), each sorted by name.
 	SCCs [][]*minic.FuncDecl
@@ -43,7 +41,6 @@ func Build(prog *minic.Program, pts *pointer.Analysis) *Graph {
 	g := &Graph{
 		Prog:      prog,
 		calleesOf: map[*minic.FuncDecl][]*minic.FuncDecl{},
-		callersOf: map[*minic.FuncDecl][]*minic.FuncDecl{},
 		sccIndex:  map[*minic.FuncDecl]int{},
 	}
 	seen := map[[2]*minic.FuncDecl]bool{}
@@ -53,7 +50,6 @@ func Build(prog *minic.Program, pts *pointer.Analysis) *Graph {
 		if !seen[k] {
 			seen[k] = true
 			g.calleesOf[e.Caller] = append(g.calleesOf[e.Caller], e.Callee)
-			g.callersOf[e.Callee] = append(g.callersOf[e.Callee], e.Caller)
 		}
 	}
 	for _, fn := range prog.Funcs {
@@ -85,12 +81,6 @@ func Build(prog *minic.Program, pts *pointer.Analysis) *Graph {
 
 // Callees returns fn's unique callees in first-seen order.
 func (g *Graph) Callees(fn *minic.FuncDecl) []*minic.FuncDecl { return g.calleesOf[fn] }
-
-// Callers returns fn's unique callers in first-seen order.
-func (g *Graph) Callers(fn *minic.FuncDecl) []*minic.FuncDecl { return g.callersOf[fn] }
-
-// SCCOf returns the index of fn's strongly connected component in SCCs.
-func (g *Graph) SCCOf(fn *minic.FuncDecl) int { return g.sccIndex[fn] }
 
 // InCycle reports whether fn is (mutually) recursive: its SCC has more than
 // one member, or it calls itself directly.

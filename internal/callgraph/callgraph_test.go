@@ -27,6 +27,18 @@ func names(fns []*minic.FuncDecl) map[string]bool {
 	return m
 }
 
+// sccOf returns the index of fn's component in g.SCCs, or -1.
+func sccOf(g *Graph, fn *minic.FuncDecl) int {
+	for i, comp := range g.SCCs {
+		for _, f := range comp {
+			if f == fn {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
 func TestDirectEdges(t *testing.T) {
 	prog, g := build(t, `
 int a(void) { return 1; }
@@ -36,7 +48,13 @@ int main(void) { return a() + b(); }`)
 	if !m["a"] || !m["b"] || len(m) != 2 {
 		t.Fatalf("main callees: %v", m)
 	}
-	if cb := names(g.Callers(prog.Func("a"))); !cb["main"] || !cb["b"] {
+	cb := map[string]bool{}
+	for _, e := range g.Edges {
+		if e.Callee == prog.Func("a") {
+			cb[e.Caller.Name] = true
+		}
+	}
+	if !cb["main"] || !cb["b"] || len(cb) != 2 {
 		t.Fatalf("a callers: %v", cb)
 	}
 }
@@ -93,13 +111,13 @@ int isOdd(int n) { if (n == 0) return 0; return isEven(n - 1); }
 int standalone(void) { return 7; }
 int main(void) { return isEven(10) + standalone(); }`)
 	e, o := prog.Func("isEven"), prog.Func("isOdd")
-	if g.SCCOf(e) != g.SCCOf(o) {
+	if sccOf(g, e) < 0 || sccOf(g, e) != sccOf(g, o) {
 		t.Fatal("mutually recursive functions must share an SCC")
 	}
-	if len(g.SCCs[g.SCCOf(e)]) != 2 {
-		t.Fatalf("SCC size = %d, want 2", len(g.SCCs[g.SCCOf(e)]))
+	if len(g.SCCs[sccOf(g, e)]) != 2 {
+		t.Fatalf("SCC size = %d, want 2", len(g.SCCs[sccOf(g, e)]))
 	}
-	if g.SCCOf(prog.Func("standalone")) == g.SCCOf(e) {
+	if sccOf(g, prog.Func("standalone")) == sccOf(g, e) {
 		t.Fatal("standalone must be in its own SCC")
 	}
 	if !g.InCycle(e) || !g.InCycle(o) {
@@ -113,10 +131,10 @@ int leaf(void) { return 1; }
 int mid(void) { return leaf(); }
 int main(void) { return mid(); }`)
 	// Callees must appear before callers.
-	leafIdx := g.SCCOf(prog.Func("leaf"))
-	midIdx := g.SCCOf(prog.Func("mid"))
-	mainIdx := g.SCCOf(prog.Func("main"))
-	if !(leafIdx < midIdx && midIdx < mainIdx) {
+	leafIdx := sccOf(g, prog.Func("leaf"))
+	midIdx := sccOf(g, prog.Func("mid"))
+	mainIdx := sccOf(g, prog.Func("main"))
+	if !(0 <= leafIdx && leafIdx < midIdx && midIdx < mainIdx) {
 		t.Fatalf("SCC order: leaf=%d mid=%d main=%d", leafIdx, midIdx, mainIdx)
 	}
 }

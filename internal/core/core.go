@@ -3,7 +3,7 @@
 //
 //	source program
 //	  → clean-up, specialization (§2.4), optionally -O3 optimization
-//	  → call graph, pointer analysis, def-use chains
+//	  → call graph, pointer analysis, global def-use summary
 //	  → code segment analysis (granularity / hashing-overhead bounds)
 //	  → execution-frequency profiling; filter infrequent segments
 //	  → O/C < 1 filter (formula 3's necessary condition)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -328,5 +330,66 @@ func TestProfileSnapshotWorkflow(t *testing.T) {
 	// Level mismatch is rejected.
 	if _, err := Run(Options{Name: "g721mini", Source: g721Mini, OptLevel: "O3", Profile: snap}); err == nil {
 		t.Fatal("expected O-level mismatch error")
+	}
+}
+
+// TestOldSnapshotCompilesAlike compiles from a saved snapshot and from the
+// same snapshot with the per-segment access_counts that older versions
+// also saved (each segment's census counts in rank order): crc
+// -profile-in must read such a file and decide exactly as from the
+// current one.
+func TestOldSnapshotCompilesAlike(t *testing.T) {
+	first, err := Run(Options{Name: "g721mini", Source: g721Mini})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cur bytes.Buffer
+	if err := first.Snapshot().Save(&cur); err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(cur.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	added := 0
+	for _, seg := range doc["segments"].(map[string]any) {
+		seg := seg.(map[string]any)
+		census, _ := seg["census"].([]any)
+		if len(census) == 0 {
+			continue
+		}
+		counts := make([]any, len(census))
+		for i, e := range census {
+			counts[i] = e.(map[string]any)["count"]
+		}
+		seg["access_counts"] = counts
+		added++
+	}
+	if added == 0 {
+		t.Fatal("no segment has a census to give access counts")
+	}
+	old, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ledger := func(file []byte) []byte {
+		t.Helper()
+		snap, err := profile.LoadSnapshot(bytes.NewReader(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Run(Options{Name: "g721mini", Source: g721Mini, Profile: snap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := rep.LedgerJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if a, b := ledger(cur.Bytes()), ledger(old); !bytes.Equal(a, b) {
+		t.Fatalf("ledgers differ:\n current snapshot %s\n with access_counts %s", a, b)
 	}
 }

@@ -13,6 +13,9 @@ package cost
 // outer instance executes n inner instances on average:
 //
 //	reuse the inner ⇔ g1 − n·g2 < 0                 (formula 4)
+//
+// Gain evaluates formula (2), which folds formula (1) in; package nesting
+// applies formula (4) to whole-run gains (TotalGain).
 
 // Profile carries the measured quantities for one code segment.
 type Profile struct {
@@ -34,12 +37,6 @@ func (p Profile) ReuseRate() float64 {
 	return 1 - float64(p.Nds)/float64(p.N)
 }
 
-// NewCost evaluates formula (1): the per-instance cost after transforming.
-func (p Profile) NewCost() float64 {
-	r := p.ReuseRate()
-	return (p.C+p.O)*(1-r) + p.O*r
-}
-
 // Gain evaluates formula (2): the per-instance gain R·C − O.
 func (p Profile) Gain() float64 {
 	return p.ReuseRate()*p.C - p.O
@@ -55,8 +52,3 @@ func (p Profile) RatioOK() bool { return p.C > 0 && p.O/p.C < 1 }
 
 // TotalGain returns the whole-run gain in cycles, Gain()·N.
 func (p Profile) TotalGain() float64 { return p.Gain() * float64(p.N) }
-
-// PreferInner evaluates formula (4): with outer gain g1, inner gain g2 and
-// n inner instances per outer instance, reusing the inner segment wins when
-// g1 − n·g2 < 0.
-func PreferInner(g1, g2, n float64) bool { return g1-n*g2 < 0 }

@@ -18,7 +18,8 @@ func TestReuseRate(t *testing.T) {
 }
 
 func TestFormulasConsistent(t *testing.T) {
-	// Gain (formula 2) must equal C − NewCost (formula 1) identically.
+	// Gain (formula 2) must equal C minus formula (1)'s new cost,
+	// (C+O)·(1−R) + O·R, identically.
 	f := func(c, o float64, n, nds uint16) bool {
 		if n == 0 || nds > n {
 			return true
@@ -27,7 +28,8 @@ func TestFormulasConsistent(t *testing.T) {
 			C: math.Abs(math.Mod(c, 1e9)), O: math.Abs(math.Mod(o, 1e9)),
 			N: int64(n), Nds: int64(nds),
 		}
-		lhs := p.C - p.NewCost()
+		r := p.ReuseRate()
+		lhs := p.C - ((p.C+p.O)*(1-r) + p.O*r)
 		rhs := p.Gain()
 		return math.Abs(lhs-rhs) < 1e-6*(1+p.C+p.O)
 	}
@@ -60,18 +62,6 @@ func TestRatioFilter(t *testing.T) {
 	}
 }
 
-func TestPreferInner(t *testing.T) {
-	// Outer gain 100; inner gain 30 executed 5 times per outer instance:
-	// 100 − 150 < 0 → prefer inner.
-	if !PreferInner(100, 30, 5) {
-		t.Fatal("want inner")
-	}
-	// Inner gain 10, 5 times: 100 − 50 > 0 → prefer outer.
-	if PreferInner(100, 10, 5) {
-		t.Fatal("want outer")
-	}
-}
-
 func TestHashOverheadMonotone(t *testing.T) {
 	m := O0()
 	// Overhead grows with key and output size.
@@ -96,9 +86,6 @@ func TestHashOverheadO3Cheaper(t *testing.T) {
 func TestSecondsMicros(t *testing.T) {
 	if got := Seconds(206e6); math.Abs(got-1.0) > 1e-9 {
 		t.Fatalf("206M cycles = %v s, want 1", got)
-	}
-	if got := Micros(206); math.Abs(got-1.0) > 1e-9 {
-		t.Fatalf("206 cycles = %v µs, want 1", got)
 	}
 }
 

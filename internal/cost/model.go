@@ -136,6 +136,3 @@ func (m *Model) DepOverhead(footprintWords int, outBytes int) int64 {
 
 // Seconds converts cycles to seconds at the modeled clock.
 func Seconds(cycles int64) float64 { return float64(cycles) / ClockHz }
-
-// Micros converts cycles to microseconds at the modeled clock.
-func Micros(cycles int64) float64 { return float64(cycles) / ClockHz * 1e6 }

@@ -4,12 +4,16 @@ import (
 	"compreuse/internal/minic"
 )
 
+// defaultTrips is the assumed iteration count of loops whose trip count
+// cannot be derived statically.
+const defaultTrips = 8
+
 // Static estimates segment costs from the AST alone, before any profiling.
 // The compiler uses two bounds per segment (paper §3.1):
 //
 //   - an optimistic granularity estimate MaxCycles (loops with known
 //     constant trip counts are fully expanded; unknown loops are assumed to
-//     run DefaultTrips iterations; branches take their more expensive arm),
+//     run defaultTrips iterations; branches take their more expensive arm),
 //     used in the O/C < 1 pre-profiling filter — a segment whose optimistic
 //     C still cannot beat the hashing overhead is removed, because even at
 //     R = 1 formula (3) could not hold;
@@ -22,9 +26,6 @@ import (
 type Static struct {
 	M    *Model
 	Prog *minic.Program
-	// DefaultTrips is the assumed iteration count of loops whose trip
-	// count cannot be derived statically.
-	DefaultTrips int64
 
 	funcMax map[*minic.FuncDecl]int64
 	funcMin map[*minic.FuncDecl]int64
@@ -34,7 +35,7 @@ type Static struct {
 // NewStatic returns an estimator over prog with cost model m.
 func NewStatic(m *Model, prog *minic.Program) *Static {
 	return &Static{
-		M: m, Prog: prog, DefaultTrips: 8,
+		M: m, Prog: prog,
 		funcMax: map[*minic.FuncDecl]int64{},
 		funcMin: map[*minic.FuncDecl]int64{},
 		active:  map[*minic.FuncDecl]bool{},
@@ -155,7 +156,7 @@ func (s *Static) loopTrips(f *minic.ForStmt, w *minic.WhileStmt, opt bool) int64
 		}
 	}
 	if opt {
-		return s.DefaultTrips
+		return defaultTrips
 	}
 	if w != nil && w.DoWhile {
 		return 1

@@ -304,84 +304,6 @@ int main(void) { return touch(); }`)
 	}
 }
 
-func TestDefUseChains(t *testing.T) {
-	prog, eff := setup(t, `
-int f(int c) {
-    int x = 1;        // def 1
-    if (c)
-        x = 2;        // def 2
-    return x;         // use: reached by both defs
-}
-int main(void) { return f(1); }`)
-	fn := prog.Func("f")
-	g := cfg.Build(fn)
-	du := eff.BuildDefUse(fn, g)
-	var retNode *cfg.Node
-	for _, n := range g.Nodes {
-		if n.Kind == cfg.NStmt {
-			if _, ok := n.Stmt.(*minic.ReturnStmt); ok {
-				retNode = n
-			}
-		}
-	}
-	x := findSym(t, prog, "f", "x")
-	defs := du.DefsReaching(retNode, x)
-	if len(defs) != 2 {
-		t.Fatalf("reaching defs of x at return: %d, want 2", len(defs))
-	}
-}
-
-func TestDefUseKill(t *testing.T) {
-	prog, eff := setup(t, `
-int f(void) {
-    int x = 1;   // killed below
-    x = 2;       // only def reaching the return
-    return x;
-}
-int main(void) { return f(); }`)
-	fn := prog.Func("f")
-	g := cfg.Build(fn)
-	du := eff.BuildDefUse(fn, g)
-	var retNode *cfg.Node
-	for _, n := range g.Nodes {
-		if n.Kind == cfg.NStmt {
-			if _, ok := n.Stmt.(*minic.ReturnStmt); ok {
-				retNode = n
-			}
-		}
-	}
-	x := findSym(t, prog, "f", "x")
-	defs := du.DefsReaching(retNode, x)
-	if len(defs) != 1 {
-		t.Fatalf("reaching defs = %d, want 1 (strong def kills)", len(defs))
-	}
-	if !defs[0].Strong {
-		t.Fatal("the surviving def is strong")
-	}
-}
-
-func TestDefUseParamsDefinedAtEntry(t *testing.T) {
-	prog, eff := setup(t, `
-int f(int a) { return a; }
-int main(void) { return f(3); }`)
-	fn := prog.Func("f")
-	g := cfg.Build(fn)
-	du := eff.BuildDefUse(fn, g)
-	var retNode *cfg.Node
-	for _, n := range g.Nodes {
-		if n.Kind == cfg.NStmt {
-			if _, ok := n.Stmt.(*minic.ReturnStmt); ok {
-				retNode = n
-			}
-		}
-	}
-	a := fn.Params[0].Sym
-	defs := du.DefsReaching(retNode, a)
-	if len(defs) != 1 || defs[0].Node != g.Entry {
-		t.Fatalf("parameter def must reach from entry: %v", defs)
-	}
-}
-
 func TestGlobalDefUse(t *testing.T) {
 	prog, eff := setup(t, `
 int shared;
@@ -395,7 +317,7 @@ int main(void) { producer(); return consumer(); }`)
 		writers[f.Name] = true
 	}
 	readers := map[string]bool{}
-	for _, f := range gdu.ReadersOf(shared) {
+	for _, f := range gdu.UseFns[shared] {
 		readers[f.Name] = true
 	}
 	if !writers["producer"] {

@@ -1,134 +1,6 @@
 package dataflow
 
-import (
-	"sort"
-
-	"compreuse/internal/cfg"
-	"compreuse/internal/minic"
-)
-
-// Def is one definition site: a CFG node that (may-)defines Sym.
-type Def struct {
-	Node   *cfg.Node
-	Sym    *minic.Symbol
-	Strong bool
-	// Fn is the defining function (for the interprocedural layer).
-	Fn *minic.FuncDecl
-}
-
-// DefUse holds def-use chains for one function, plus the program-wide
-// links for globals (a def in one procedure may reach a use in another
-// through globals or pointers — paper §3.1).
-type DefUse struct {
-	Fn *minic.FuncDecl
-	// Defs lists all definition sites in Fn, in CFG node order.
-	Defs []*Def
-	// UseToDefs maps (node, sym) to the definitions reaching that use.
-	useToDefs map[useKey][]*Def
-}
-
-type useKey struct {
-	node *cfg.Node
-	sym  *minic.Symbol
-}
-
-// DefsReaching returns the definitions of sym that reach the use at node n.
-func (du *DefUse) DefsReaching(n *cfg.Node, sym *minic.Symbol) []*Def {
-	return du.useToDefs[useKey{n, sym}]
-}
-
-// BuildDefUse computes reaching definitions over fn's CFG and links each
-// use to its reaching defs. Strong defs kill previous defs of the same
-// symbol; may-defs accumulate.
-func (e *Effects) BuildDefUse(fn *minic.FuncDecl, g *cfg.Graph) *DefUse {
-	du := &DefUse{Fn: fn, useToDefs: map[useKey][]*Def{}}
-	eff := make(map[*cfg.Node]*NodeEffects, len(g.Nodes))
-	gen := make(map[*cfg.Node][]*Def, len(g.Nodes))
-	for _, n := range g.Nodes {
-		ne := e.NodeEffectsOf(n)
-		eff[n] = ne
-		for _, sym := range ne.Def.Sorted() {
-			d := &Def{Node: n, Sym: sym, Strong: true, Fn: fn}
-			du.Defs = append(du.Defs, d)
-			gen[n] = append(gen[n], d)
-		}
-		for _, sym := range ne.MayDef.Sorted() {
-			d := &Def{Node: n, Sym: sym, Strong: false, Fn: fn}
-			du.Defs = append(du.Defs, d)
-			gen[n] = append(gen[n], d)
-		}
-	}
-	// Parameters are defined at entry.
-	for _, p := range fn.Params {
-		d := &Def{Node: g.Entry, Sym: p.Sym, Strong: true, Fn: fn}
-		du.Defs = append(du.Defs, d)
-		gen[g.Entry] = append(gen[g.Entry], d)
-	}
-
-	type defSet map[*Def]bool
-	in := make(map[*cfg.Node]defSet, len(g.Nodes))
-	out := make(map[*cfg.Node]defSet, len(g.Nodes))
-	for _, n := range g.Nodes {
-		in[n] = defSet{}
-		out[n] = defSet{}
-	}
-	order := g.ReversePostorder()
-	for changed := true; changed; {
-		changed = false
-		for _, n := range order {
-			inN := in[n]
-			for _, p := range n.Preds {
-				for d := range out[p] {
-					if !inN[d] {
-						inN[d] = true
-						changed = true
-					}
-				}
-			}
-			// out = gen ∪ (in − kill); kill = defs of strongly-defined syms.
-			ne := eff[n]
-			outN := out[n]
-			for d := range inN {
-				if ne.Def[d.Sym] {
-					continue // killed
-				}
-				if !outN[d] {
-					outN[d] = true
-					changed = true
-				}
-			}
-			for _, d := range gen[n] {
-				if !outN[d] {
-					outN[d] = true
-					changed = true
-				}
-			}
-		}
-	}
-
-	// Link uses.
-	for _, n := range g.Nodes {
-		ne := eff[n]
-		for sym := range ne.Use {
-			var reach []*Def
-			for d := range in[n] {
-				if d.Sym == sym {
-					reach = append(reach, d)
-				}
-			}
-			sort.Slice(reach, func(i, j int) bool {
-				if reach[i].Node.ID != reach[j].Node.ID {
-					return reach[i].Node.ID < reach[j].Node.ID
-				}
-				return reach[i].Sym.Name < reach[j].Sym.Name
-			})
-			if len(reach) > 0 {
-				du.useToDefs[useKey{n, sym}] = reach
-			}
-		}
-	}
-	return du
-}
+import "compreuse/internal/minic"
 
 // GlobalDefUse is the interprocedural layer: for every global (or
 // escaping) symbol it lists the functions that may define it and the
@@ -162,6 +34,3 @@ func (e *Effects) BuildGlobalDefUse() *GlobalDefUse {
 
 // WritersOf returns the functions that may write sym.
 func (g *GlobalDefUse) WritersOf(sym *minic.Symbol) []*minic.FuncDecl { return g.DefFns[sym] }
-
-// ReadersOf returns the functions that may read sym.
-func (g *GlobalDefUse) ReadersOf(sym *minic.Symbol) []*minic.FuncDecl { return g.UseFns[sym] }

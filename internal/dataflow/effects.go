@@ -1,8 +1,8 @@
 // Package dataflow implements the data-flow analyses the reuse scheme
 // depends on (Ding & Li §2.1, §3.1): interprocedural mod/ref effect
 // summaries, liveness, upward-exposed reads over code-segment CFGs, and
-// def-use chains whose definitions and uses may sit in different
-// procedures (via globals and pointers).
+// a program-wide def-use summary that links the procedures writing a
+// global (or escaping) symbol to those reading it.
 package dataflow
 
 import (

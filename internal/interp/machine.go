@@ -81,10 +81,6 @@ type Result struct {
 	Freq []int64
 	// Segs holds per-ReuseRegion stats keyed by region node id.
 	Segs map[int]*SegRunStats
-	// Tables echoes the tables used by the run.
-	Tables map[int]*reusetab.Table
-	// DepTables echoes the footprint tries used by the run.
-	DepTables map[int]*depmemo.Table
 	// Watched holds RunWatched's per-watch statistics, in watch order.
 	Watched []WatchStats
 	// Side and SideOps are the cycles and ops of RunWatched's
@@ -165,14 +161,12 @@ func RunWatched(prog *minic.Program, opts Options, watches []*Watch) (res *Resul
 	ret := mc.enter(f, fr, mainFn.Pos())
 	mc.settle()
 	res = &Result{
-		Ret:       ret.ival(),
-		Cycles:    mc.cycles,
-		Output:    mc.out.String(),
-		Ops:       mc.ops,
-		Freq:      mc.freq,
-		Segs:      mc.segs,
-		Tables:    mc.tables,
-		DepTables: mc.depTabs,
+		Ret:    ret.ival(),
+		Cycles: mc.cycles,
+		Output: mc.out.String(),
+		Ops:    mc.ops,
+		Freq:   mc.freq,
+		Segs:   mc.segs,
 	}
 	if mc.wt != nil {
 		res.Watched, res.Side, res.SideOps = mc.wt.results(), mc.wt.side, mc.wt.sideOps()

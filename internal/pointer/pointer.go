@@ -8,9 +8,8 @@
 //
 //   - PointsTo(p): which variables may *p designate? Used to turn pointer
 //     dereferences into inputs/outputs of a code segment.
-//   - MayAlias(a, b): may two lvalue symbols overlap?
-//   - FuncTargets(fp): which functions may a function pointer call? Used
-//     by call-graph construction.
+//   - CallTargets(call): which functions may a call expression reach
+//     through a function pointer? Used by call-graph construction.
 package pointer
 
 import (
@@ -468,45 +467,6 @@ func (a *Analysis) PointsTo(sym *minic.Symbol) []*minic.Symbol {
 	pts := n.pts.find()
 	out := append([]*minic.Symbol(nil), pts.syms...)
 	sortSyms(out)
-	return out
-}
-
-// MayAlias reports whether lvalues a and b (or storage reachable from
-// them) may overlap: they are in the same class, or either may point into
-// the other's class.
-func (a *Analysis) MayAlias(x, y *minic.Symbol) bool {
-	nx, okx := a.nodes[x]
-	ny, oky := a.nodes[y]
-	if !okx || !oky {
-		return false
-	}
-	nx, ny = nx.find(), ny.find()
-	if nx == ny {
-		return true
-	}
-	if nx.pts != nil && nx.pts.find() == ny {
-		return true
-	}
-	if ny.pts != nil && ny.pts.find() == nx {
-		return true
-	}
-	return false
-}
-
-// FuncTargets returns the functions a function-pointer-valued symbol may
-// reference.
-func (a *Analysis) FuncTargets(sym *minic.Symbol) []*minic.FuncDecl {
-	n, ok := a.nodes[sym]
-	if !ok {
-		return nil
-	}
-	n = n.find()
-	if n.pts == nil {
-		return nil
-	}
-	pts := n.pts.find()
-	out := append([]*minic.FuncDecl(nil), pts.funcs...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

@@ -104,31 +104,6 @@ int main(void) {
 	}
 }
 
-func TestMayAlias(t *testing.T) {
-	prog, a := analyze(t, `
-int x;
-int y;
-int main(void) {
-    int *p = &x;
-    int *q = &x;
-    int *r = &y;
-    return *p + *q + *r;
-}`)
-	p := symOf(t, prog, "main", "p")
-	q := symOf(t, prog, "main", "q")
-	r := symOf(t, prog, "main", "r")
-	x := symOf(t, prog, "", "x")
-	if !a.MayAlias(p, x) {
-		t.Fatal("p aliases x")
-	}
-	if !a.MayAlias(q, x) {
-		t.Fatal("q aliases x")
-	}
-	if a.MayAlias(r, x) {
-		t.Fatal("r must not alias x")
-	}
-}
-
 func TestFunctionPointerTargets(t *testing.T) {
 	prog, a := analyze(t, `
 int inc(int v) { return v + 1; }
@@ -141,7 +116,14 @@ int main(void) {
     else op = dec;
     return op(5);
 }`)
-	targets := a.FuncTargets(symOf(t, prog, "main", "op"))
+	var call *minic.Call
+	minic.InspectExprs(prog.Func("main").Body, func(e minic.Expr) bool {
+		if c, ok := e.(*minic.Call); ok {
+			call = c
+		}
+		return true
+	})
+	targets := a.CallTargets(call)
 	names := map[string]bool{}
 	for _, f := range targets {
 		names[f.Name] = true

@@ -89,13 +89,12 @@ func regionProfiles(t *testing.T, p bench.Program, level string, keep []*segment
 			for _, s := range ts.Segs {
 				rr := res.Regions[s]
 				sp := &profile.SegProfile{
-					Name:         s.Name,
-					TableName:    ts.Name,
-					Nds:          int64(tab.SegDistinct(rr.SegBit)),
-					Overhead:     float64(ro.Model.HashOverhead(s.KeyBytes, s.OutBytes)),
-					Census:       tab.SegSortedCensus(rr.SegBit),
-					AccessCounts: tab.AccessCounts(),
-					KeyBytes:     s.KeyBytes,
+					Name:      s.Name,
+					TableName: ts.Name,
+					Nds:       int64(tab.SegDistinct(rr.SegBit)),
+					Overhead:  float64(ro.Model.HashOverhead(s.KeyBytes, s.OutBytes)),
+					Census:    tab.SegSortedCensus(rr.SegBit),
+					KeyBytes:  s.KeyBytes,
 				}
 				if st := run.Segs[rr.ID()]; st != nil {
 					sp.N, sp.MeasuredC = st.Instances, st.MeasuredC()
@@ -150,6 +149,6 @@ func summary(sp *profile.SegProfile) string {
 	if sp == nil {
 		return "<nil>"
 	}
-	return fmt.Sprintf("table=%s N=%d Nds=%d C=%v census=%d access=%d", sp.TableName, sp.N, sp.Nds,
-		sp.MeasuredC, len(sp.Census), len(sp.AccessCounts))
+	return fmt.Sprintf("table=%s N=%d Nds=%d C=%v census=%d", sp.TableName, sp.N, sp.Nds,
+		sp.MeasuredC, len(sp.Census))
 }

@@ -43,8 +43,6 @@ type SegProfile struct {
 	// Census is the distinct-input census with per-key counts, in
 	// first-seen order. For merged tables the census is shared.
 	Census []reusetab.KeyCount
-	// AccessCounts are probe counts per table entry rank (Figures 7/8).
-	AccessCounts []int64
 	// KeyBytes is the modeled input-set width.
 	KeyBytes int
 }
@@ -175,31 +173,21 @@ func layoutTable(profiles map[string]*SegProfile, group, wave []*segment.Segment
 	name := transform.TableName(group)
 	if len(group) == 1 {
 		// A lone member's census is in first-seen order: its ranks are
-		// its indices and its counts are the table's access counts.
+		// its indices.
 		s := group[0]
 		st := &stats[idx[s]]
 		census := make([]reusetab.KeyCount, st.Census.Len())
-		var access []int64
-		if len(census) > 0 {
-			access = make([]int64, len(census))
-		}
 		for i := range census {
-			k := st.Census.At(i)
-			census[i] = reusetab.KeyCount{Key: st.Census.Key(i), Count: k.Count, Rank: i}
-			access[i] = k.Count
+			census[i] = reusetab.KeyCount{Key: st.Census.Key(i), Count: st.Census.At(i).Count, Rank: i}
 		}
-		profiles[s.Name] = segProfile(s, st, name, census, access, wave, idx, model)
+		profiles[s.Name] = segProfile(s, st, name, census, wave, idx, model)
 		return
 	}
 
-	// The table's ranks order the members' keys by first sighting; its
-	// access counts are the union census. unionOf[m][i] is the union
-	// index of member m's i-th key.
-	type key struct {
-		first int64
-		count int64
-	}
-	var union []key
+	// The table's ranks order the members' keys by first sighting.
+	// first[u] is the earliest sighting of union key u, and unionOf[m][i]
+	// is the union index of member m's i-th key.
+	var first []int64
 	index := map[string]int{}
 	unionOf := make([][]int, len(group))
 	for m, s := range group {
@@ -209,28 +197,22 @@ func layoutTable(profiles map[string]*SegProfile, group, wave []*segment.Segment
 			k, ks := census.At(i), census.Key(i)
 			u, seen := index[ks]
 			if !seen {
-				u = len(union)
+				u = len(first)
 				index[ks] = u
-				union = append(union, key{first: k.First})
+				first = append(first, k.First)
 			}
-			union[u].first = min(union[u].first, k.First)
-			union[u].count += k.Count
+			first[u] = min(first[u], k.First)
 			unionOf[m][i] = u
 		}
 	}
-	order := make([]int, len(union))
+	order := make([]int, len(first))
 	for u := range order {
 		order[u] = u
 	}
-	sort.Slice(order, func(i, j int) bool { return union[order[i]].first < union[order[j]].first })
-	rank := make([]int, len(union))
-	var access []int64
-	if len(union) > 0 {
-		access = make([]int64, len(union))
-	}
+	sort.Slice(order, func(i, j int) bool { return first[order[i]] < first[order[j]] })
+	rank := make([]int, len(first))
 	for r, u := range order {
 		rank[u] = r
-		access[r] = union[u].count
 	}
 
 	for m, s := range group {
@@ -240,29 +222,28 @@ func layoutTable(profiles map[string]*SegProfile, group, wave []*segment.Segment
 			census[i] = reusetab.KeyCount{Key: st.Census.Key(i), Count: st.Census.At(i).Count, Rank: rank[unionOf[m][i]]}
 		}
 		sort.Slice(census, func(i, j int) bool { return census[i].Rank < census[j].Rank })
-		profiles[s.Name] = segProfile(s, st, name, census, append([]int64(nil), access...), wave, idx, model)
+		profiles[s.Name] = segProfile(s, st, name, census, wave, idx, model)
 	}
 }
 
 // segProfile is the profile of s, watched as st, in a table named name
-// with the given census and access counts. Its body cycles include the
-// instrumentation of the segments of its own wave.
+// with the given census. Its body cycles include the instrumentation of
+// the segments of its own wave.
 func segProfile(s *segment.Segment, st *interp.WatchStats, name string, census []reusetab.KeyCount,
-	access []int64, wave []*segment.Segment, idx map[*segment.Segment]int, model *cost.Model) *SegProfile {
+	wave []*segment.Segment, idx map[*segment.Segment]int, model *cost.Model) *SegProfile {
 
 	body := st.Run.BodyCycles
 	for _, t := range wave {
 		body += st.Nested[idx[t]]
 	}
 	sp := &SegProfile{
-		Name:         s.Name,
-		TableName:    name,
-		N:            st.Run.Instances,
-		Nds:          int64(len(census)),
-		Overhead:     float64(model.HashOverhead(s.KeyBytes, s.OutBytes)),
-		Census:       census,
-		AccessCounts: access,
-		KeyBytes:     s.KeyBytes,
+		Name:      s.Name,
+		TableName: name,
+		N:         st.Run.Instances,
+		Nds:       int64(len(census)),
+		Overhead:  float64(model.HashOverhead(s.KeyBytes, s.OutBytes)),
+		Census:    census,
+		KeyBytes:  s.KeyBytes,
 	}
 	if st.Run.BodyRuns > 0 {
 		sp.MeasuredC = float64(body) / float64(st.Run.BodyRuns)
@@ -304,16 +285,6 @@ func CollisionDeduction(census []reusetab.KeyCount, entries int) float64 {
 		collided += sum - slotMax[idx]
 	}
 	return float64(collided) / float64(total)
-}
-
-// AdjustedReuseRate is the reuse rate after the collision deduction for a
-// table of the given size.
-func (sp *SegProfile) AdjustedReuseRate(entries int) float64 {
-	r := sp.ReuseRate() - CollisionDeduction(sp.Census, entries)
-	if r < 0 {
-		return 0
-	}
-	return r
 }
 
 // Bucket is one histogram bar.

@@ -188,24 +188,6 @@ func TestCollisionDeduction(t *testing.T) {
 	}
 }
 
-func TestAdjustedReuseRate(t *testing.T) {
-	sp := &SegProfile{
-		N: 20, Nds: 3,
-		Census: []reusetab.KeyCount{
-			{Key: string(reusetab.AppendInt(nil, 3)), Count: 10},
-			{Key: string(reusetab.AppendInt(nil, 11)), Count: 4},
-			{Key: string(reusetab.AppendInt(nil, 5)), Count: 6},
-		},
-	}
-	// R = 1 - 3/20 = 0.85; deduction at 8 entries = 0.2 -> 0.65.
-	if got := sp.AdjustedReuseRate(8); got < 0.649 || got > 0.651 {
-		t.Fatalf("adjusted R = %v, want 0.65", got)
-	}
-	if got := sp.AdjustedReuseRate(16); got < 0.849 || got > 0.851 {
-		t.Fatalf("adjusted R = %v, want 0.85", got)
-	}
-}
-
 func TestSnapshotRoundTrip(t *testing.T) {
 	sp := &SegProfile{
 		Name: "k@func", TableName: "k@func", N: 100, Nds: 7,
@@ -214,7 +196,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			{Key: string(reusetab.AppendInt(nil, 5)), Count: 60, Rank: 0},
 			{Key: string(reusetab.AppendInt(nil, -9)), Count: 40, Rank: 1},
 		},
-		AccessCounts: []int64{60, 40},
 	}
 	snap := ToSnapshot("p.c", "O0", []int64{1, 2}, []int64{0, 3, 0}, map[string]*SegProfile{"k@func": sp})
 
@@ -236,8 +217,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if len(got.Census) != 2 || got.Census[0].Count != 60 {
 		t.Fatalf("census lost: %+v", got.Census)
 	}
-	vals := reusetab.DecodeInts(got.Census[1].Key)
-	if vals == nil || vals[0] != -9 {
+	vals, ok := reusetab.DecodeIntsInto(nil, got.Census[1].Key)
+	if !ok || vals[0] != -9 {
 		t.Fatalf("binary key corrupted: %v", vals)
 	}
 	if got.ReuseRate() != sp.ReuseRate() {

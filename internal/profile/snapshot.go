@@ -30,15 +30,14 @@ type Snapshot struct {
 
 // SegSnapshot is one segment's serialized profile.
 type SegSnapshot struct {
-	Name         string     `json:"name"`
-	TableName    string     `json:"table"`
-	N            int64      `json:"n"`
-	Nds          int64      `json:"nds"`
-	MeasuredC    float64    `json:"c_cycles"`
-	Overhead     float64    `json:"o_cycles"`
-	KeyBytes     int        `json:"key_bytes"`
-	Census       []KeyEntry `json:"census,omitempty"`
-	AccessCounts []int64    `json:"access_counts,omitempty"`
+	Name      string     `json:"name"`
+	TableName string     `json:"table"`
+	N         int64      `json:"n"`
+	Nds       int64      `json:"nds"`
+	MeasuredC float64    `json:"c_cycles"`
+	Overhead  float64    `json:"o_cycles"`
+	KeyBytes  int        `json:"key_bytes"`
+	Census    []KeyEntry `json:"census,omitempty"`
 }
 
 // KeyEntry is one census line. Key holds the raw input-set bytes; the
@@ -89,14 +88,13 @@ func ToSnapshot(program, optLevel string, args []int64, freq []int64,
 	}
 	for name, sp := range profiles {
 		ss := &SegSnapshot{
-			Name:         sp.Name,
-			TableName:    sp.TableName,
-			N:            sp.N,
-			Nds:          sp.Nds,
-			MeasuredC:    sp.MeasuredC,
-			Overhead:     sp.Overhead,
-			KeyBytes:     sp.KeyBytes,
-			AccessCounts: sp.AccessCounts,
+			Name:      sp.Name,
+			TableName: sp.TableName,
+			N:         sp.N,
+			Nds:       sp.Nds,
+			MeasuredC: sp.MeasuredC,
+			Overhead:  sp.Overhead,
+			KeyBytes:  sp.KeyBytes,
 		}
 		if len(sp.Census) > 0 {
 			ss.Census = make([]KeyEntry, len(sp.Census))
@@ -123,9 +121,6 @@ func (s *Snapshot) Profiles() map[string]*SegProfile {
 			KeyBytes:  ss.KeyBytes,
 		}
 		// Save omits an empty list, so empty and absent must load alike.
-		if len(ss.AccessCounts) > 0 {
-			sp.AccessCounts = ss.AccessCounts
-		}
 		if len(ss.Census) > 0 {
 			sp.Census = make([]reusetab.KeyCount, len(ss.Census))
 			for i, ke := range ss.Census {
@@ -144,7 +139,9 @@ func (s *Snapshot) Save(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// LoadSnapshot reads a snapshot produced by Save.
+// LoadSnapshot reads a snapshot produced by Save. Fields it does not
+// know, such as the access_counts that older versions saved per
+// segment, are ignored.
 func LoadSnapshot(r io.Reader) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.NewDecoder(r).Decode(&s); err != nil {

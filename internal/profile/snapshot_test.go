@@ -22,7 +22,6 @@ func goldenProfiles() map[string]*SegProfile {
 				{Key: "\x80\xff\x00\x7f", Count: 15, Rank: 2},
 				{Key: "", Count: 5, Rank: 3},
 			},
-			AccessCounts: []int64{50, 30, 15, 5},
 		},
 		"k@loop1": {
 			Name: "k@loop1", TableName: "k@func", N: 7, Nds: 0,
@@ -33,7 +32,8 @@ func goldenProfiles() map[string]*SegProfile {
 
 // TestSnapshotGolden pins the snapshot file format: Save's bytes must
 // equal testdata/snapshot.golden.json, which was written by the earlier
-// encoder that hex-encoded census keys while building the snapshot, and
+// encoder that hex-encoded census keys while building the snapshot (less
+// the access_counts it also wrote; see TestSnapshotOldFormat), and
 // loading the file must give back the same profiles. The file is a fixed
 // record of that format, not regenerated.
 func TestSnapshotGolden(t *testing.T) {
@@ -67,6 +67,33 @@ func TestSnapshotGolden(t *testing.T) {
 	}
 }
 
+// TestSnapshotOldFormat loads testdata/snapshot.access_counts.json, the
+// golden snapshot as it was saved while segments still carried their
+// table's access counts: a file written then must load, and give the
+// same profiles as the current golden file.
+func TestSnapshotOldFormat(t *testing.T) {
+	load := func(path string) map[string]*SegProfile {
+		t.Helper()
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		snap, err := LoadSnapshot(f)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		return snap.Profiles()
+	}
+	old, cur := load("testdata/snapshot.access_counts.json"), load("testdata/snapshot.golden.json")
+	if !reflect.DeepEqual(old, cur) {
+		for name, sp := range old {
+			t.Errorf("%s: old file gives %+v, current %+v", name, sp, cur[name])
+		}
+		t.Fatal("an old-format snapshot loads into different profiles")
+	}
+}
+
 // FuzzLoadSnapshot feeds LoadSnapshot arbitrary bytes (a snapshot arrives
 // from outside the program through cmd/crc -profile-in). Input must
 // either fail to load, or load into a snapshot whose Profiles() does not
@@ -77,6 +104,11 @@ func FuzzLoadSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(golden)
+	old, err := os.ReadFile("testdata/snapshot.access_counts.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(old)
 	for _, s := range []string{
 		"{not json",
 		"{}",

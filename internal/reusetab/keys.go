@@ -21,24 +21,12 @@ func AppendFloat(key []byte, v float64) []byte {
 		byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
 }
 
-// DecodeInts interprets a key as a sequence of 32-bit ints (the common
-// all-int input case) for histogram rendering. It returns nil if the key
-// length is not a multiple of 4. Each call allocates a fresh slice; the
-// histogram renderers, which decode every census key in a tight loop,
-// use DecodeIntsInto with one reused scratch buffer instead.
-func DecodeInts(key string) []int32 {
-	out, ok := DecodeIntsInto(make([]int32, 0, len(key)/4), key)
-	if !ok {
-		return nil
-	}
-	return out
-}
-
-// DecodeIntsInto appends the key's decoded 32-bit ints to dst and
-// returns the extended slice, reusing dst's capacity — decoding a large
-// census with one scratch buffer allocates only until the buffer reaches
-// the widest key. ok is false (and dst is returned unchanged) when the
-// key length is not a multiple of 4.
+// DecodeIntsInto interprets a key as a sequence of 32-bit ints (the
+// common all-int input case) for histogram rendering: it appends the
+// key's decoded ints to dst and returns the extended slice, reusing dst's
+// capacity — decoding a large census with one scratch buffer allocates
+// only until the buffer reaches the widest key. ok is false (and dst is
+// returned unchanged) when the key length is not a multiple of 4.
 func DecodeIntsInto(dst []int32, key string) ([]int32, bool) {
 	if len(key)%4 != 0 {
 		return dst, false

@@ -306,8 +306,8 @@ func TestKeyEncodingRoundTrip(t *testing.T) {
 	for _, v := range vals {
 		key = AppendInt(key, v)
 	}
-	dec := DecodeInts(string(key))
-	if len(dec) != len(vals) {
+	dec, ok := DecodeIntsInto(nil, string(key))
+	if !ok || len(dec) != len(vals) {
 		t.Fatalf("decoded %d values", len(dec))
 	}
 	for i, v := range vals {

@@ -216,13 +216,11 @@ type Options struct {
 	// SubBlocks additionally enumerates sub-block segments — the paper's
 	// §5 future work (contiguous statement runs inside blocks).
 	SubBlocks bool
-	// MaxKeyBytes rejects segments whose input set exceeds this size
-	// (default 64 KiB).
-	MaxKeyBytes int
-	// MaxOutBytes rejects segments whose output set exceeds this size
-	// (default 64 KiB).
-	MaxOutBytes int
 }
+
+// maxSetBytes rejects segments whose input set or output set exceeds
+// this size.
+const maxSetBytes = 64 << 10
 
 // Analysis holds the segment analysis of one program.
 type Analysis struct {
@@ -250,12 +248,6 @@ func Analyze(prog *minic.Program, pts *pointer.Analysis, cg *callgraph.Graph,
 	eff *dataflow.Effects, opts Options) *Analysis {
 	if opts.Model == nil {
 		opts.Model = cost.O0()
-	}
-	if opts.MaxKeyBytes == 0 {
-		opts.MaxKeyBytes = 64 << 10
-	}
-	if opts.MaxOutBytes == 0 {
-		opts.MaxOutBytes = 64 << 10
 	}
 	a := &Analysis{
 		Prog: prog, Pts: pts, CG: cg, Eff: eff,
@@ -648,7 +640,7 @@ func (a *Analysis) checkEncodable(s *Segment) bool {
 		s.fail("segment has no inputs to key on")
 		return false
 	}
-	if key > a.opts.MaxKeyBytes {
+	if key > maxSetBytes {
 		s.fail("input set too large (%d bytes)", key)
 		return false
 	}
@@ -676,7 +668,7 @@ func (a *Analysis) checkEncodable(s *Segment) bool {
 		s.fail("segment has no live outputs")
 		return false
 	}
-	if outB > a.opts.MaxOutBytes {
+	if outB > maxSetBytes {
 		s.fail("output set too large (%d bytes)", outB)
 		return false
 	}

@@ -166,9 +166,6 @@ type Item struct {
 	Vals []uint64
 }
 
-// IsResp reports whether the frame is a response.
-func (f *Frame) IsResp() bool { return f.Flags&FlagResp != 0 }
-
 // SetTrace stores id and keeps FlagTraced in sync: a nonzero id sets
 // the flag (the encoding gains the 8-byte TraceID section), zero clears
 // both, so untraced frames keep the pre-tracing canonical encoding.
