@@ -272,3 +272,45 @@ func BenchmarkMemoTableSingleShardParallel(b *testing.B) {
 func BenchmarkMemoTableLRUShardedParallel(b *testing.B) {
 	benchMemoTableParallel(b, MemoTableConfig{Name: "lru", Entries: 128, LRU: true, Shards: 16})
 }
+
+// BenchmarkMemoTableLRUHit prices a hit in TieredMemo's L1 shape: a
+// 4096-entry LRU MemoTable that has already looked up and stored 200 000
+// distinct keys, probed round-robin with its resident keys. A hit pays
+// the shard lock, the resident-key lookup and the recency update; the
+// distinct-key census it has grown is not on the hit's path.
+func BenchmarkMemoTableLRUHit(b *testing.B) {
+	const entries, seen = 4096, 200_000
+	mt := NewMemoTable(MemoTableConfig{Name: "hit", Entries: entries, LRU: true})
+	var kb KeyBuf
+	for i := int64(0); i < seen; i++ {
+		key := kb.Reset().Int(i).Bytes()
+		if _, ok := mt.Lookup(key); !ok {
+			mt.Store(key, uint64(i))
+		}
+	}
+	keys := make([][]byte, entries)
+	for i := range keys {
+		keys[i] = EncodeInt(nil, int64(seen-entries+i))
+	}
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := mt.Lookup(keys[i%entries]); !ok {
+				b.Fatal("resident key missed")
+			}
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			i := 0
+			for pb.Next() {
+				if _, ok := mt.Lookup(keys[i%entries]); !ok {
+					b.Error("resident key missed")
+					return
+				}
+				i++
+			}
+		})
+	})
+}

@@ -79,7 +79,7 @@ func concVariants() []concVariant {
 			},
 		},
 		{
-			// The sharded runtime: striped locks, atomic stats.
+			// The sharded runtime: striped locks, per-shard stats.
 			name: "sharded-16",
 			build: func() (func([]byte) bool, func([]byte, uint64)) {
 				tab := reusetab.NewSharded(concTableConfig(), 16)

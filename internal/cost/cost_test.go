@@ -141,7 +141,7 @@ int quan(int val) {
             break;
     return (i);
 }`)
-	est := NewStatic(O0(), prog)
+	est := NewStatic(O0())
 	fn := prog.Func("quan")
 	maxC := est.MaxCycles(fn.Body)
 	minC := est.MinCycles(fn.Body)
@@ -165,7 +165,7 @@ func TestStaticFloatCostsDominates(t *testing.T) {
 	prog := mustProg(t, `
 float fsum(float a, float b) { return a * b + a / b; }
 int isum(int a, int b) { return a * b + a / b; }`)
-	est := NewStatic(O0(), prog)
+	est := NewStatic(O0())
 	fc := est.MaxCycles(prog.Func("fsum").Body)
 	ic := est.MaxCycles(prog.Func("isum").Body)
 	if fc <= ic*3 {
@@ -178,7 +178,7 @@ func TestStaticCallCost(t *testing.T) {
 int leaf(int x) { return x + 1; }
 int caller(int x) { return leaf(x) + leaf(x); }
 int rec(int x) { if (x <= 0) return 0; return rec(x - 1); }`)
-	est := NewStatic(O0(), prog)
+	est := NewStatic(O0())
 	leaf := est.FuncCycles(prog.Func("leaf"), true)
 	caller := est.FuncCycles(prog.Func("caller"), true)
 	if caller <= 2*leaf {
@@ -199,8 +199,8 @@ int f(int n) {
         s += i * 3;
     return s;
 }`)
-	o0 := NewStatic(O0(), prog).MaxCycles(prog.Func("f").Body)
-	o3 := NewStatic(O3(), prog).MaxCycles(prog.Func("f").Body)
+	o0 := NewStatic(O0()).MaxCycles(prog.Func("f").Body)
+	o3 := NewStatic(O3()).MaxCycles(prog.Func("f").Body)
 	if o3 >= o0 {
 		t.Fatalf("O3 (%d) must be cheaper than O0 (%d)", o3, o0)
 	}

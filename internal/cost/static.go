@@ -24,18 +24,17 @@ const defaultTrips = 8
 // The authoritative C is measured later, during value-set profiling, by the
 // VM's per-segment cycle accounting.
 type Static struct {
-	M    *Model
-	Prog *minic.Program
+	M *Model
 
 	funcMax map[*minic.FuncDecl]int64
 	funcMin map[*minic.FuncDecl]int64
 	active  map[*minic.FuncDecl]bool
 }
 
-// NewStatic returns an estimator over prog with cost model m.
-func NewStatic(m *Model, prog *minic.Program) *Static {
+// NewStatic returns an estimator with cost model m.
+func NewStatic(m *Model) *Static {
 	return &Static{
-		M: m, Prog: prog,
+		M:       m,
 		funcMax: map[*minic.FuncDecl]int64{},
 		funcMin: map[*minic.FuncDecl]int64{},
 		active:  map[*minic.FuncDecl]bool{},

@@ -60,24 +60,45 @@ func TestProbeInstrumentation(t *testing.T) {
 }
 
 // TestShardedOccupancyGauge checks the sharded table maintains one
-// whole-table gauge instead of per-shard clobbering.
+// whole-table gauge instead of per-shard clobbering, and that the gauge
+// reads the table's occupancy: records made while metrics were off, an
+// older table under the same name and re-records do not skew it.
 func TestShardedOccupancyGauge(t *testing.T) {
 	defer obs.Disable()
-	obs.Enable()
-	s := NewSharded(Config{
+	cfg := Config{
 		Name: "instr_sharded", Segs: 1, KeyBytes: 4,
 		OutWords: []int{1}, OutBytes: []int{4},
-	}, 4)
+	}
+	gauge := OccupancyGauge("instr_sharded")
+
+	obs.Enable()
+	old := NewSharded(cfg, 4)
+	for i := int64(0); i < 25; i++ {
+		old.Record(0, AppendInt(nil, -i-1), []uint64{uint64(i)})
+	}
+	if got := gauge.Value(); got != 25 {
+		t.Errorf("occupancy gauge = %d after the first table's records, want 25", got)
+	}
+
+	// A second table under the same name, filled with metrics off.
+	obs.Disable()
+	s := NewSharded(cfg, 4)
 	for i := int64(0); i < 40; i++ {
 		key := AppendInt(nil, i*977)
 		s.Probe(0, key)
 		s.Record(0, key, []uint64{uint64(i)})
 	}
-	if got := OccupancyGauge("instr_sharded").Value(); got != 40 {
+	obs.Enable()
+	s.Record(0, AppendInt(nil, 0), []uint64{7}) // re-record: no resident delta
+	if got := gauge.Value(); got != 40 {
 		t.Errorf("sharded occupancy gauge = %d, want 40", got)
 	}
 	if s.Resident() != 40 {
 		t.Errorf("Resident = %d, want 40", s.Resident())
+	}
+	s.Reset()
+	if got := gauge.Value(); got != 0 {
+		t.Errorf("occupancy gauge = %d after Reset, want 0", got)
 	}
 }
 

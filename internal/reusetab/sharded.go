@@ -18,9 +18,10 @@ const shardSeed uint32 = 0x9e3779b9
 // It is the serving-path variant of the paper's software hash table — the
 // VM-facing Table stays single-threaded and bit-for-bit faithful to §3.1,
 // while Sharded lets many goroutines probe and record at once with
-// contention limited to 1/shards of the traffic. Statistics are kept in
-// per-segment atomic counters at the Sharded level, so Stats and Distinct
-// never take a shard lock and never race with in-flight probes.
+// contention limited to 1/shards of the traffic. A probe touches only
+// its shard's table; Stats and Distinct sum the shard tables' own
+// counters, taking each shard's lock in turn, so the statistics cost the
+// hot path nothing.
 //
 // Every key deterministically maps to one shard, so for unbounded
 // ("optimal") tables the hit/miss behavior is identical to a single
@@ -30,19 +31,21 @@ const shardSeed uint32 = 0x9e3779b9
 // eviction order; use a single shard when the exact §3.1 bounded-table
 // behavior matters more than parallelism.
 type Sharded struct {
-	cfg   Config
-	mask  uint32
-	stats []shardedSegStats
-	// distinct counts first-time keys across all shards (the shards
-	// partition the key space, so the sum is exact).
-	distinct atomic.Int64
+	cfg  Config
+	mask uint32
 	// resident counts entries currently stored across all shards,
-	// maintained from per-record deltas; occGauge is the whole-table
-	// occupancy gauge (the per-shard tables' own gauges are disabled so
-	// shards do not clobber each other's partial counts).
+	// maintained from the records that change it; occGauge is the
+	// whole-table occupancy gauge, set from resident on every record
+	// (the per-shard tables' own gauges are disabled so shards do not
+	// clobber each other's partial counts).
 	resident atomic.Int64
 	occGauge *obs.Gauge
 	shards   []tableShard
+	// base and baseDistinct are what RestoreStats added to the shards'
+	// own counters (see RestoreStats); reads add them on.
+	baseMu       sync.Mutex
+	base         []SegStats
+	baseDistinct int
 }
 
 // tableShard pads each shard's lock+table to its own cache line so the
@@ -51,12 +54,6 @@ type tableShard struct {
 	mu  sync.Mutex
 	tab *Table
 	_   [64 - 16]byte
-}
-
-// shardedSegStats mirrors SegStats with atomically updated fields.
-type shardedSegStats struct {
-	probes, hits, misses, records, collisions, evictions atomic.Int64
-	_                                                    [64 - 48]byte
 }
 
 // NewSharded builds a sharded table over cfg. The shard count is rounded
@@ -88,7 +85,7 @@ func NewSharded(cfg Config, shards int) *Sharded {
 	s := &Sharded{
 		cfg:      cfg,
 		mask:     uint32(n - 1),
-		stats:    make([]shardedSegStats, cfg.Segs),
+		base:     make([]SegStats, cfg.Segs),
 		occGauge: OccupancyGauge(cfg.Name),
 		shards:   make([]tableShard, n),
 	}
@@ -130,21 +127,12 @@ func (s *Sharded) Probe(seg int, key []byte) ([]uint64, bool) {
 func (s *Sharded) ProbeInto(seg int, key []byte, dst []uint64) ([]uint64, bool) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
-	collBefore := sh.tab.stats[seg].Collisions
-	distBefore := len(sh.tab.rank)
 	outs, hit := sh.tab.Probe(seg, key)
 	if hit {
 		dst = append(dst, outs...)
 	}
-	collDelta := sh.tab.stats[seg].Collisions - collBefore
-	distDelta := len(sh.tab.rank) - distBefore
 	sh.mu.Unlock()
-
-	s.countProbe(seg, hit, collDelta, distDelta)
-	if !hit {
-		return dst, false
-	}
-	return dst, true
+	return dst, hit
 }
 
 // ProbeWord is the single-output fast path (OutWords == 1, the MemoTable
@@ -154,37 +142,13 @@ func (s *Sharded) ProbeInto(seg int, key []byte, dst []uint64) ([]uint64, bool) 
 func (s *Sharded) ProbeWord(seg int, key []byte) (uint64, bool) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
-	collBefore := sh.tab.stats[seg].Collisions
-	distBefore := len(sh.tab.rank)
 	outs, hit := sh.tab.Probe(seg, key)
 	var v uint64
 	if hit && len(outs) > 0 {
 		v = outs[0]
 	}
-	collDelta := sh.tab.stats[seg].Collisions - collBefore
-	distDelta := len(sh.tab.rank) - distBefore
 	sh.mu.Unlock()
-
-	s.countProbe(seg, hit, collDelta, distDelta)
 	return v, hit
-}
-
-// countProbe folds one probe's outcome into the atomic per-segment
-// counters.
-func (s *Sharded) countProbe(seg int, hit bool, collDelta int64, distDelta int) {
-	st := &s.stats[seg]
-	st.probes.Add(1)
-	if hit {
-		st.hits.Add(1)
-	} else {
-		st.misses.Add(1)
-	}
-	if collDelta > 0 {
-		st.collisions.Add(collDelta)
-	}
-	if distDelta > 0 {
-		s.distinct.Add(int64(distDelta))
-	}
 }
 
 // Record stores the outputs computed for key by segment seg in the key's
@@ -192,16 +156,10 @@ func (s *Sharded) countProbe(seg int, hit bool, collDelta int64, distDelta int) 
 func (s *Sharded) Record(seg int, key []byte, outs []uint64) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
-	evBefore := sh.tab.stats[seg].Evictions
 	resBefore := sh.tab.resident
 	sh.tab.Record(seg, key, outs)
-	evDelta := sh.tab.stats[seg].Evictions - evBefore
 	resDelta := sh.tab.resident - resBefore
 	sh.mu.Unlock()
-	s.stats[seg].records.Add(1)
-	if evDelta > 0 {
-		s.stats[seg].evictions.Add(evDelta)
-	}
 	if resDelta != 0 {
 		s.resident.Add(int64(resDelta))
 	}
@@ -210,41 +168,34 @@ func (s *Sharded) Record(seg int, key []byte, outs []uint64) {
 	}
 }
 
-// Stats returns segment seg's counters. Reads are atomic snapshots of
-// each field; they never block probes and never race. The outcome
-// counters are loaded before Probes: every hit/miss/collision increment
-// is preceded by its probe's Probes increment and the counters only
-// grow, so the snapshot always satisfies Hits+Misses <= Probes (the two
-// sides are equal once the table is quiescent).
-func (s *Sharded) Stats(seg int) SegStats {
-	st := &s.stats[seg]
-	hits := st.hits.Load()
-	misses := st.misses.Load()
-	records := st.records.Load()
-	collisions := st.collisions.Load()
-	evictions := st.evictions.Load()
-	probes := st.probes.Load()
-	return SegStats{
-		Probes:     probes,
-		Hits:       hits,
-		Misses:     misses,
-		Records:    records,
-		Collisions: collisions,
-		Evictions:  evictions,
+// each calls fn with every shard's table, holding that shard's lock
+// (and only that one) for the call.
+func (s *Sharded) each(fn func(t *Table)) {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		fn(sh.tab)
+		sh.mu.Unlock()
 	}
+}
+
+// Stats returns segment seg's counters, summed over the shards. Each
+// shard's counters are read under its lock, so they are exact for that
+// shard (Hits+Misses == Probes); probes racing the walk land in the sum
+// or not, shard by shard.
+func (s *Sharded) Stats(seg int) SegStats {
+	s.baseMu.Lock()
+	sum := s.base[seg]
+	s.baseMu.Unlock()
+	s.each(func(t *Table) { sum = sum.add(t.stats[seg]) })
+	return sum
 }
 
 // TotalStats sums the per-segment statistics.
 func (s *Sharded) TotalStats() SegStats {
 	var sum SegStats
-	for seg := range s.stats {
-		st := s.Stats(seg)
-		sum.Probes += st.Probes
-		sum.Hits += st.Hits
-		sum.Misses += st.Misses
-		sum.Records += st.Records
-		sum.Collisions += st.Collisions
-		sum.Evictions += st.Evictions
+	for seg := range s.base {
+		sum = sum.add(s.Stats(seg))
 	}
 	return sum
 }
@@ -252,26 +203,15 @@ func (s *Sharded) TotalStats() SegStats {
 // Reset empties every shard and zeroes all statistics without
 // reallocating. Reset locks each shard in turn rather than all at once,
 // so concurrent probes never deadlock against it; a probe racing the
-// reset lands either before or after its shard is cleared, and the
-// atomic counters are zeroed last. Intended for quiescent or
-// best-effort use (the server's FLUSH op, the governor's readmission).
+// reset lands either before or after its shard is cleared. Intended
+// for quiescent or best-effort use (the server's FLUSH op, the
+// governor's readmission).
 func (s *Sharded) Reset() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.tab.Reset()
-		sh.mu.Unlock()
-	}
-	for i := range s.stats {
-		st := &s.stats[i]
-		st.probes.Store(0)
-		st.hits.Store(0)
-		st.misses.Store(0)
-		st.records.Store(0)
-		st.collisions.Store(0)
-		st.evictions.Store(0)
-	}
-	s.distinct.Store(0)
+	s.each((*Table).Reset)
+	s.baseMu.Lock()
+	clear(s.base)
+	s.baseDistinct = 0
+	s.baseMu.Unlock()
 	s.resident.Store(0)
 	if obs.On() {
 		s.occGauge.Set(0)
@@ -303,44 +243,51 @@ func (s *Sharded) Range(seg int, fn func(key []byte, outs []uint64) bool) {
 	}
 }
 
-// RestoreStats overwrites segment seg's outcome counters and the
-// table-wide distinct-key census with snapshot-recorded values. It
-// exists for warm restarts only: a restore replays the dumped entries
-// through Record (rebuilding storage and the resident count), then
-// calls RestoreStats so the probe/hit/miss/record counters and N_ds
-// report the pre-crash history instead of the replay's. Collision and
-// eviction counters are left at their replay values — the snapshot
-// format does not carry them, and nothing downstream reads them for
-// admission. Keys first seen before the snapshot re-enter the distinct
-// census on their first post-restore probe, so Distinct can overcount
-// by at most the restored population; the governor's R window is
-// recomputed live either way.
+// RestoreStats sets segment seg's outcome counters and the table-wide
+// distinct-key census to snapshot-recorded values. It exists for warm
+// restarts only: a restore replays the dumped entries through Record
+// (rebuilding storage and the resident count), then calls RestoreStats
+// so the probe/hit/miss/record counters and N_ds report the pre-crash
+// history instead of the replay's. The restored values, less what the
+// shards had counted by the call, become a base that reads add on: a
+// read right after the call returns the restored values, and later
+// traffic counts on top of them. Collision and eviction counters are left
+// at their replay values — the snapshot format does not carry them, and
+// nothing downstream reads them for admission. Keys first seen before
+// the snapshot re-enter the distinct census on their first
+// post-restore probe, so Distinct can overcount by at most the restored
+// population; the governor's R window is recomputed live either way.
 func (s *Sharded) RestoreStats(seg int, st SegStats, distinct int64) {
-	cur := &s.stats[seg]
-	cur.probes.Store(st.Probes)
-	cur.hits.Store(st.Hits)
-	cur.misses.Store(st.Misses)
-	cur.records.Store(st.Records)
-	s.distinct.Store(distinct)
+	live, liveDistinct := s.Stats(seg), s.Distinct()
+	s.baseMu.Lock()
+	b := &s.base[seg]
+	b.Probes += st.Probes - live.Probes
+	b.Hits += st.Hits - live.Hits
+	b.Misses += st.Misses - live.Misses
+	b.Records += st.Records - live.Records
+	s.baseDistinct += int(distinct) - liveDistinct
+	s.baseMu.Unlock()
 }
 
 // Resident returns the number of entries currently stored across all
-// shards (maintained from atomic per-record deltas; never blocks probes).
+// shards (maintained from per-record deltas; never blocks probes).
 func (s *Sharded) Resident() int { return int(s.resident.Load()) }
 
 // Distinct returns the number of distinct keys ever probed across all
-// shards (the paper's N_ds).
-func (s *Sharded) Distinct() int { return int(s.distinct.Load()) }
+// shards (the paper's N_ds; the shards partition the key space, so the
+// sum is exact).
+func (s *Sharded) Distinct() int {
+	s.baseMu.Lock()
+	n := s.baseDistinct
+	s.baseMu.Unlock()
+	s.each(func(t *Table) { n += t.Distinct() })
+	return n
+}
 
 // SizeBytes reports the modeled memory consumption summed over shards.
 func (s *Sharded) SizeBytes() int {
 	total := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		total += sh.tab.SizeBytes()
-		sh.mu.Unlock()
-	}
+	s.each(func(t *Table) { total += t.SizeBytes() })
 	return total
 }
 

@@ -71,8 +71,24 @@ func (s SegStats) HitRatio() float64 {
 	return float64(s.Hits) / float64(s.Probes)
 }
 
+// add returns the field-wise sum of s and o.
+func (s SegStats) add(o SegStats) SegStats {
+	s.Probes += o.Probes
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Records += o.Records
+	s.Collisions += o.Collisions
+	s.Evictions += o.Evictions
+	return s
+}
+
 type entry struct {
 	used bool
+	// ranked records that key is in the table's rank map, at rank; a
+	// probe that finds a ranked entry skips the rank lookup (the key
+	// cannot be new). reclaim and Reset clear it.
+	ranked bool
+	rank   int32
 	// key holds the entry's input pattern as bytes (not a string) so a
 	// replacement can reuse the buffer's capacity instead of allocating:
 	// the probe/record hot path must stay at zero allocations in steady
@@ -90,6 +106,7 @@ type entry struct {
 // a Record re-validates their segment.
 func (e *entry) reclaim(key []byte, segs int, clock int64) {
 	e.used = true
+	e.ranked = false
 	e.key = append(e.key[:0], key...)
 	e.valid = 0
 	if cap(e.outs) < segs {
@@ -297,20 +314,21 @@ func (t *Table) Probe(seg int, key []byte) ([]uint64, bool) {
 // (m[string(key)]), which the compiler elides to a hash of the bytes; a
 // string is only materialized when a first-seen key is inserted into the
 // rank map. A profiling probe is that one rank lookup plus slice
-// increments. The returned slice is the table's own storage — it stays
-// valid until the next Record for the same key and segment, which
-// overwrites it in place (callers that retain hits across records, like
-// the concurrent Sharded wrapper, must copy; the VM consumes hits
-// immediately).
+// increments. A reuse probe looks the key up in the rank map only when
+// it can be new: when no resident entry holds it, or on the first probe
+// that finds its entry (which a Record may have made before any probe);
+// every later probe of the entry reads the rank it stored. The returned
+// slice is the table's own storage — it stays valid until the next
+// Record for the same key and segment, which overwrites it in place
+// (callers that retain hits across records, like the concurrent Sharded
+// wrapper, must copy; the VM consumes hits immediately).
 func (t *Table) probe(seg int, key []byte) ([]uint64, bool) {
 	st := &t.stats[seg]
 	st.Probes++
 	t.clock++
 
-	// Every mode tracks each probed key's first-seen rank, so Distinct()
-	// reports the paper's N_ds for bounded tables too.
-	r := t.rankOf(key)
 	if t.cfg.Mode == ModeProfile {
+		r := t.rankOf(key)
 		t.accessCounts[r]++
 		sc := t.segCounts[seg]
 		for len(sc) <= r {
@@ -327,9 +345,14 @@ func (t *Table) probe(seg int, key []byte) ([]uint64, bool) {
 	bit := uint64(1) << uint(seg)
 	switch {
 	case t.byKey != nil:
-		t.accessCounts[r]++
 		e, ok := t.byKey[string(key)]
-		if !ok || e.valid&bit == 0 {
+		if !ok {
+			t.accessCounts[t.rankOf(key)]++
+			st.Misses++
+			return nil, false
+		}
+		t.accessCounts[t.entryRank(e)]++
+		if e.valid&bit == 0 {
 			st.Misses++
 			return nil, false
 		}
@@ -339,10 +362,12 @@ func (t *Table) probe(seg int, key []byte) ([]uint64, bool) {
 	case t.cfg.LRU:
 		i, resident := t.lruIdx[string(key)]
 		if !resident {
+			t.rankOf(key)
 			st.Misses++
 			return nil, false
 		}
 		e := &t.slots[i]
+		t.entryRank(e)
 		e.lastUse = t.clock
 		t.lruList.MoveToFront(i)
 		t.accessCounts[i]++
@@ -358,14 +383,17 @@ func (t *Table) probe(seg int, key []byte) ([]uint64, bool) {
 		t.accessCounts[i]++
 		e := &t.slots[i]
 		if !e.used {
+			t.rankOf(key)
 			st.Misses++
 			return nil, false
 		}
 		if !bytes.Equal(e.key, key) {
+			t.rankOf(key)
 			st.Misses++
 			st.Collisions++
 			return nil, false
 		}
+		t.entryRank(e)
 		if e.valid&bit == 0 {
 			st.Misses++
 			return nil, false
@@ -392,6 +420,17 @@ func (t *Table) rankOf(key []byte) int {
 		t.rankKeys = append(t.rankKeys, ks)
 	}
 	return r
+}
+
+// entryRank returns the rank of a resident entry's key, ranking the key
+// on the first probe that finds the entry and reading the stored rank
+// on every later one.
+func (t *Table) entryRank(e *entry) int {
+	if !e.ranked {
+		e.rank = int32(t.rankOf(e.key))
+		e.ranked = true
+	}
+	return int(e.rank)
 }
 
 // Record stores the outputs computed for key by segment seg. In
@@ -625,12 +664,7 @@ func (t *Table) EntryBytes() int {
 func (t *Table) TotalStats() SegStats {
 	var sum SegStats
 	for _, s := range t.stats {
-		sum.Probes += s.Probes
-		sum.Hits += s.Hits
-		sum.Misses += s.Misses
-		sum.Records += s.Records
-		sum.Collisions += s.Collisions
-		sum.Evictions += s.Evictions
+		sum = sum.add(s)
 	}
 	return sum
 }

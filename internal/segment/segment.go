@@ -251,7 +251,7 @@ func Analyze(prog *minic.Program, pts *pointer.Analysis, cg *callgraph.Graph,
 	}
 	a := &Analysis{
 		Prog: prog, Pts: pts, CG: cg, Eff: eff,
-		Est:    cost.NewStatic(opts.Model, prog),
+		Est:    cost.NewStatic(opts.Model),
 		opts:   opts,
 		gdu:    eff.BuildGlobalDefUse(),
 		fnLive: map[*minic.FuncDecl]*funcLive{},

@@ -352,13 +352,15 @@ func (m *MemoTable) Store(key []byte, value uint64) {
 	m.tab.Record(0, key, vals[:])
 }
 
-// Stats returns the table's probe statistics. The counters are atomic
-// snapshots, so Stats never blocks probes and is race-free against
-// concurrent Lookup/Store callers.
+// Stats returns the table's probe statistics. It reads each shard's
+// counters under that shard's lock, in turn, so it is race-free against
+// concurrent Lookup/Store callers and holds up a probe for at most one
+// shard's read.
 func (m *MemoTable) Stats() MemoStats {
-	// Distinct is read before the probe counters: distinct-key increments
-	// trail their probe's Probes increment, so this order keeps
-	// Distinct <= Calls (and ReuseRate in [0, 1]) even mid-flight.
+	// Distinct is read before the probe counters: a shard never holds
+	// more distinct keys than it has counted probes, and both only grow,
+	// so this order keeps Distinct <= Calls (and ReuseRate in [0, 1])
+	// even mid-flight.
 	distinct := int64(m.tab.Distinct())
 	st := m.tab.Stats(0)
 	return MemoStats{Calls: st.Probes, Hits: st.Hits, Distinct: distinct, Evictions: st.Evictions}
