@@ -277,7 +277,7 @@ func BenchmarkMemoTableLRUShardedParallel(b *testing.B) {
 // 4096-entry LRU MemoTable that has already looked up and stored 200 000
 // distinct keys, probed round-robin with its resident keys. A hit pays
 // the shard lock, the resident-key lookup and the recency update; the
-// distinct-key census it has grown is not on the hit's path.
+// table keeps nothing of the keys it has evicted.
 func BenchmarkMemoTableLRUHit(b *testing.B) {
 	const entries, seen = 4096, 200_000
 	mt := NewMemoTable(MemoTableConfig{Name: "hit", Entries: entries, LRU: true})

@@ -539,7 +539,7 @@ func (s *nodeSegment) flush() error {
 // governor estimates.
 type RemoteStats struct {
 	Probes, Hits, Misses, Records int64
-	Distinct, Resident            int64
+	Distinct, Resident            int64 // Distinct: keys stored since the last flush, Resident plus evictions
 	Bypassed                      int64 // requests answered with FlagBypass
 	BypassedNow                   bool  // current governor state
 	R                             float64

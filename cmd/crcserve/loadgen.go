@@ -44,7 +44,7 @@ func (r loadgenReport) print(w io.Writer) {
 	if s.Probes > 0 {
 		hitPct = 100 * float64(s.Hits) / float64(s.Probes)
 	}
-	fmt.Fprintf(w, "server: probes %d  hits %d (%.1f%%)  distinct %d  resident %d  bypassed %d\n",
+	fmt.Fprintf(w, "server: probes %d  hits %d (%.1f%%)  stored %d  resident %d  bypassed %d\n",
 		s.Probes, s.Hits, hitPct, s.Distinct, s.Resident, s.Bypassed)
 	state := "ADMITTED"
 	if s.BypassedNow {

@@ -88,7 +88,7 @@ func TestCrcserve(t *testing.T) {
 			t.Fatalf("no traffic reached the server: %+v", rep)
 		}
 		if rep.Server.Hits == 0 {
-			t.Fatalf("no shared reuse: %d probes, 0 hits (distinct %d)",
+			t.Fatalf("no shared reuse: %d probes, 0 hits (stored %d)",
 				rep.Server.Probes, rep.Server.Distinct)
 		}
 		t.Logf("shared segment: %d/%d hits across 4 clients, RTT p50 %v p99 %v",

@@ -94,12 +94,9 @@ func TestTableZeroAllocSteadyState(t *testing.T) {
 			tab.Record(0, keys[i%len(keys)], outs)
 			i++
 		})
-		// A re-probe of a key already counted in the rank census must not
-		// allocate even when it misses (cold segment bit after eviction is
-		// not reachable here, so exercise the miss path with a one-off
-		// never-recorded key probed repeatedly).
+		// A miss allocates nothing either: a reuse probe keeps no key it
+		// does not store (a never-recorded key, probed repeatedly).
 		miss := AppendInt(AppendInt(nil, 1<<20), 1<<21)
-		tab.Probe(0, miss) // first probe may insert into the rank census
 		assertZeroAllocs(t, mode+"/probe-miss", func() {
 			if _, hit := tab.Probe(0, miss); hit {
 				t.Fatalf("%s: unrecorded key hit", mode)
@@ -116,7 +113,7 @@ func TestTableZeroAllocDirectChurn(t *testing.T) {
 	cfg.Entries = 8 // force constant collisions
 	tab := New(cfg)
 	keys := fillKeys(64)
-	// Warm: every key probed once (rank inserted) and recorded once.
+	// Warm: every key probed once and recorded once.
 	for _, k := range keys {
 		tab.Probe(0, k)
 		tab.Record(0, k, []uint64{1, 2})
@@ -273,4 +270,20 @@ func BenchmarkShardedRecord(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// TestIndexOfZeroAlloc pins the string form of the slot placement, which
+// OptimalEntries and the profile's collision deduction run over every
+// census key: a 276-byte key (wider than a copying conversion's stack
+// buffer) is placed as IndexOfBytes places it, with no allocation.
+func TestIndexOfZeroAlloc(t *testing.T) {
+	var wide []byte
+	for i := int64(0); i < 69; i++ {
+		wide = AppendInt(wide, i*7919)
+	}
+	key := string(wide)
+	if got, want := IndexOf(key, 4093), IndexOfBytes(wide, 4093); got != want {
+		t.Fatalf("IndexOf = %d, IndexOfBytes = %d", got, want)
+	}
+	assertZeroAllocs(t, "IndexOf/wide", func() { IndexOf(key, 4093) })
 }

@@ -9,16 +9,18 @@ import (
 )
 
 // refTable is the reference model of a Table's statistics: the simplest
-// storage that behaves like the table, ranking every probed key in the
-// rank map (the table itself skips the lookup when a key cannot be new).
+// storage that behaves like the table. A profiling reference ranks every
+// probed key; a reuse reference counts each key it stores that was not
+// resident, which Table.Distinct must equal.
 type refTable struct {
 	cfg    Config
-	rank   map[string]int
-	access []int64 // per rank (unbounded, profiling) or per slot (bounded)
+	rank   map[string]int // profiling census
+	access []int64        // per rank (profiling) or per slot (bounded)
 	stats  []SegStats
 	slots  []refSlot           // bounded storage
 	byKey  map[string]*refSlot // unbounded storage
 	seq    int64               // LRU recency: bumped on every touch
+	stored int                 // keys stored since the last reset
 }
 
 type refSlot struct {
@@ -38,7 +40,7 @@ func newRef(cfg Config) *refTable {
 func (r *refTable) reset() {
 	r.rank = map[string]int{}
 	r.stats = make([]SegStats, r.cfg.Segs)
-	r.seq = 0
+	r.seq, r.stored = 0, 0
 	r.access, r.slots, r.byKey = nil, nil, nil
 	switch {
 	case r.cfg.Mode == ModeProfile:
@@ -56,10 +58,17 @@ func (r *refTable) rankOf(k string) int {
 	}
 	n := len(r.rank)
 	r.rank[k] = n
-	if r.slots == nil {
-		r.access = append(r.access, 0)
-	}
+	r.access = append(r.access, 0)
 	return n
+}
+
+// distinct is what Table.Distinct must return: the census size when
+// profiling, the keys stored since the last reset otherwise.
+func (r *refTable) distinct() int {
+	if r.cfg.Mode == ModeProfile {
+		return len(r.rank)
+	}
+	return r.stored
 }
 
 // find returns the bounded slot holding k, or -1.
@@ -81,15 +90,13 @@ func (r *refTable) find(k string) int {
 func (r *refTable) probe(seg int, k string) ([]uint64, bool) {
 	st := &r.stats[seg]
 	st.Probes++
-	n := r.rankOf(k)
 	var e *refSlot
 	switch {
 	case r.cfg.Mode == ModeProfile:
 		// A profiling probe takes the census and counts no outcome.
-		r.access[n]++
+		r.access[r.rankOf(k)]++
 		return nil, false
 	case r.byKey != nil:
-		r.access[n]++
 		e = r.byKey[k]
 	case r.cfg.LRU:
 		if i := r.find(k); i >= 0 {
@@ -129,6 +136,7 @@ func (r *refTable) record(seg int, k string, outs []uint64) {
 		if e = r.byKey[k]; e == nil {
 			e = &refSlot{used: true, key: k}
 			r.byKey[k] = e
+			r.stored++
 		}
 	case r.cfg.LRU:
 		i := r.find(k)
@@ -148,6 +156,7 @@ func (r *refTable) record(seg int, k string, outs []uint64) {
 				st.Evictions++
 			}
 			r.slots[i] = refSlot{used: true, key: k}
+			r.stored++
 		}
 		e = &r.slots[i]
 		r.seq++
@@ -159,6 +168,7 @@ func (r *refTable) record(seg int, k string, outs []uint64) {
 				st.Evictions++
 			}
 			*e = refSlot{used: true, key: k}
+			r.stored++
 		}
 	}
 	if e.outs == nil {
@@ -230,10 +240,12 @@ func exactKeys() [][]byte {
 }
 
 // TestTableStatsMatchReference drives random Probe/Record/Reset streams
-// through a Table and the reference that ranks every probe, and compares
-// every result and statistic after every op. Records of never-probed
-// keys, direct-addressed collisions, evictions and merged segments all
-// occur in the streams.
+// through a Table and the reference, and compares every result and
+// statistic after every op. Records of never-probed keys, probes of
+// never-recorded keys, in-place re-records, direct-addressed collisions,
+// evictions and merged segments all occur in the streams. In reuse
+// modes Distinct is the reference's count of stored keys and must also
+// be Resident plus Evictions.
 func TestTableStatsMatchReference(t *testing.T) {
 	keys := exactKeys()
 	for _, cfg := range exactConfigs() {
@@ -265,8 +277,11 @@ func TestTableStatsMatchReference(t *testing.T) {
 					tab.Record(seg, k, outs)
 					ref.record(seg, string(k), outs)
 				}
-				if d, w := tab.Distinct(), len(ref.rank); d != w {
+				if d, w := tab.Distinct(), ref.distinct(); d != w {
 					t.Fatalf("op %d (%s): Distinct = %d, want %d", op, what, d, w)
+				}
+				if d, w := tab.Distinct(), tab.Resident()+int(tab.TotalStats().Evictions); cfg.Mode != ModeProfile && d != w {
+					t.Fatalf("op %d (%s): Distinct = %d, want Resident+Evictions = %d", op, what, d, w)
 				}
 				if a, w := tab.AccessCounts(), ref.accessCounts(); !reflect.DeepEqual(a, w) {
 					t.Fatalf("op %d (%s): AccessCounts = %v, want %v", op, what, a, w)
@@ -315,7 +330,7 @@ func TestShardedStatsMatchReference(t *testing.T) {
 				refDistinct := func() int {
 					n := baseDistinct
 					for _, r := range refs {
-						n += len(r.rank)
+						n += r.distinct()
 					}
 					return n
 				}
@@ -395,13 +410,14 @@ func TestShardedStatsMatchReference(t *testing.T) {
 	}
 }
 
-// TestEntrySize pins the size of a table entry: the rank a probe reuses
-// and its flag sit in the padding beside used.
+// TestEntrySize pins the size of a table entry: the used flag, the key
+// and output slice headers and the valid bits, with no per-key rank or
+// recency stamp.
 func TestEntrySize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("size pinned for 64-bit targets")
 	}
-	if got := unsafe.Sizeof(entry{}); got != 72 {
-		t.Fatalf("unsafe.Sizeof(entry{}) = %d, want 72", got)
+	if got := unsafe.Sizeof(entry{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(entry{}) = %d, want 64", got)
 	}
 }

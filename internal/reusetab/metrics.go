@@ -45,7 +45,7 @@ func OccupancyGauge(name string) *obs.Gauge {
 }
 
 // probeObserved wraps probe with latency/size/outcome instrumentation.
-// Collision and distinct-key effects are recovered as before/after deltas
+// Collision effects are recovered as before/after deltas
 // of the table's own statistics, so the uninstrumented path stays free of
 // metric branches.
 func (t *Table) probeObserved(seg int, key []byte) ([]uint64, bool) {

@@ -244,19 +244,18 @@ func (s *Sharded) Range(seg int, fn func(key []byte, outs []uint64) bool) {
 }
 
 // RestoreStats sets segment seg's outcome counters and the table-wide
-// distinct-key census to snapshot-recorded values. It exists for warm
+// Distinct count to snapshot-recorded values. It exists for warm
 // restarts only: a restore replays the dumped entries through Record
 // (rebuilding storage and the resident count), then calls RestoreStats
-// so the probe/hit/miss/record counters and N_ds report the pre-crash
-// history instead of the replay's. The restored values, less what the
-// shards had counted by the call, become a base that reads add on: a
-// read right after the call returns the restored values, and later
-// traffic counts on top of them. Collision and eviction counters are left
-// at their replay values — the snapshot format does not carry them, and
-// nothing downstream reads them for admission. Keys first seen before
-// the snapshot re-enter the distinct census on their first
-// post-restore probe, so Distinct can overcount by at most the restored
-// population; the governor's R window is recomputed live either way.
+// so the probe/hit/miss/record counters and Distinct report the
+// pre-crash history instead of the replay's. The restored values, less
+// what the shards had counted by the call, become a base that reads add
+// on: a read right after the call returns the restored values, and
+// later traffic counts on top of them, so Distinct goes on counting the
+// keys stored after the restore. Collision and eviction counters are
+// left at their replay values — the snapshot format does not carry
+// them, and nothing downstream reads them for admission; the governor's
+// R window is recomputed live either way.
 func (s *Sharded) RestoreStats(seg int, st SegStats, distinct int64) {
 	live, liveDistinct := s.Stats(seg), s.Distinct()
 	s.baseMu.Lock()
@@ -273,9 +272,11 @@ func (s *Sharded) RestoreStats(seg int, st SegStats, distinct int64) {
 // shards (maintained from per-record deltas; never blocks probes).
 func (s *Sharded) Resident() int { return int(s.resident.Load()) }
 
-// Distinct returns the number of distinct keys ever probed across all
-// shards (the paper's N_ds; the shards partition the key space, so the
-// sum is exact).
+// Distinct returns the number of keys stored since the last Reset,
+// summed over the shards (see Table.Distinct), plus the RestoreStats
+// base. For an unbounded table it is N_ds of the recorded keys, as the
+// shards partition the key space; a bounded table counts a key again
+// each time it is stored after its eviction.
 func (s *Sharded) Distinct() int {
 	s.baseMu.Lock()
 	n := s.baseDistinct

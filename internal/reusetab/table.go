@@ -84,29 +84,22 @@ func (s SegStats) add(o SegStats) SegStats {
 
 type entry struct {
 	used bool
-	// ranked records that key is in the table's rank map, at rank; a
-	// probe that finds a ranked entry skips the rank lookup (the key
-	// cannot be new). reclaim and Reset clear it.
-	ranked bool
-	rank   int32
 	// key holds the entry's input pattern as bytes (not a string) so a
 	// replacement can reuse the buffer's capacity instead of allocating:
 	// the probe/record hot path must stay at zero allocations in steady
 	// state (formula 3 counts every nanosecond of overhead O against the
 	// segment's profitability).
-	key     []byte
-	valid   uint64
-	outs    [][]uint64
-	lastUse int64
+	key   []byte
+	valid uint64
+	outs  [][]uint64
 }
 
 // reclaim repoints an entry at key, reusing the key buffer and the
 // per-segment output-slice headers it already owns. The valid bits are
 // cleared; stale words left in the output buffers are unreachable until
 // a Record re-validates their segment.
-func (e *entry) reclaim(key []byte, segs int, clock int64) {
+func (e *entry) reclaim(key []byte, segs int) {
 	e.used = true
-	e.ranked = false
 	e.key = append(e.key[:0], key...)
 	e.valid = 0
 	if cap(e.outs) < segs {
@@ -114,7 +107,6 @@ func (e *entry) reclaim(key []byte, segs int, clock int64) {
 	} else {
 		e.outs = e.outs[:segs]
 	}
-	e.lastUse = clock
 }
 
 // storeOuts copies outs into dst, reusing dst's capacity when it
@@ -133,7 +125,6 @@ func storeOuts(dst, outs []uint64) []uint64 {
 type Table struct {
 	cfg   Config
 	stats []SegStats
-	clock int64
 	// resident is the number of entries currently stored (distinct keys
 	// for unbounded tables, occupied slots otherwise).
 	resident int
@@ -153,18 +144,18 @@ type Table struct {
 	// Optimal (unbounded) storage.
 	byKey map[string]*entry
 
-	// rank maps every probed key to its first-seen rank.
-	rank map[string]int
 	// accessCounts counts probes per table entry (Figures 7 and 8): per
 	// slot index for the direct-addressed and LRU modes, per first-seen
-	// rank for optimal and profiling tables. A profiling table's
-	// accessCounts is its union census.
+	// rank in ModeProfile, where it is the union census. Unbounded reuse
+	// tables keep none.
 	accessCounts []int64
-	// Per-segment profiling census (ModeProfile), indexed by rank: a
-	// merged table's members probe with their own dynamic key streams,
-	// so their N_ds values differ. rankKeys[r] is the key of rank r,
-	// segCounts[seg][r] its probe count by seg, and segDistinct[seg] the
-	// number of nonzero segCounts[seg] entries.
+	// The profiling census (ModeProfile only), indexed by rank: rank maps
+	// every probed key to its first-seen rank and rankKeys[r] is the key
+	// of rank r. A merged table's members probe with their own dynamic
+	// key streams, so their N_ds values differ: segCounts[seg][r] is the
+	// probe count of rank r by seg, and segDistinct[seg] the number of
+	// nonzero segCounts[seg] entries.
+	rank        map[string]int
 	rankKeys    []string
 	segCounts   [][]int64
 	segDistinct []int
@@ -186,11 +177,11 @@ func New(cfg Config) *Table {
 	t := &Table{
 		cfg:      cfg,
 		stats:    make([]SegStats, cfg.Segs),
-		rank:     map[string]int{},
 		occGauge: OccupancyGauge(cfg.Name),
 	}
 	switch {
 	case cfg.Mode == ModeProfile:
+		t.rank = map[string]int{}
 		t.segCounts = make([][]int64, cfg.Segs)
 		t.segDistinct = make([]int, cfg.Segs)
 	case cfg.Entries > 0:
@@ -217,28 +208,19 @@ func (t *Table) index(key []byte) int {
 	return IndexOfBytes(key, len(t.slots))
 }
 
-// IndexOf maps a key to a slot in a direct-addressed table of the given
-// entry count. Keys of at most 32 bits use the value itself modulo the
-// table size; wider keys are first reduced with the Jenkins hash (§3.1).
-// A non-positive entry count has a single conceptual slot: IndexOf
-// returns 0 rather than dividing by zero.
+// IndexOf is IndexOfBytes over a string key. The conversion copies
+// nothing: IndexOfBytes neither keeps nor writes the bytes.
 func IndexOf(key string, entries int) int {
-	if entries <= 0 {
-		return 0
-	}
-	var h uint32
-	if len(key) <= 4 {
-		for i := len(key) - 1; i >= 0; i-- {
-			h = h<<8 | uint32(key[i])
-		}
-	} else {
-		h = JenkinsHash([]byte(key), 0)
-	}
-	return int(h % uint32(entries))
+	return IndexOfBytes([]byte(key), entries)
 }
 
-// IndexOfBytes is IndexOf over a byte-slice key. It is the hot-path
-// variant: no string materialization, no allocation.
+// IndexOfBytes maps a key to a slot in a direct-addressed table of the
+// given entry count. Keys of at most 32 bits use the value itself modulo
+// the table size; wider keys are first reduced with the Jenkins hash
+// (§3.1). A non-positive entry count has a single conceptual slot:
+// IndexOfBytes returns 0 rather than dividing by zero. The probe, table
+// sizing (OptimalEntries) and the profile's collision deduction all place
+// keys with it.
 func IndexOfBytes(key []byte, entries int) int {
 	if entries <= 0 {
 		return 0
@@ -312,20 +294,16 @@ func (t *Table) Probe(seg int, key []byte) ([]uint64, bool) {
 // probe is the uninstrumented hot path. It allocates nothing in steady
 // state: every map access spells the string conversion inline
 // (m[string(key)]), which the compiler elides to a hash of the bytes; a
-// string is only materialized when a first-seen key is inserted into the
-// rank map. A profiling probe is that one rank lookup plus slice
-// increments. A reuse probe looks the key up in the rank map only when
-// it can be new: when no resident entry holds it, or on the first probe
-// that finds its entry (which a Record may have made before any probe);
-// every later probe of the entry reads the rank it stored. The returned
-// slice is the table's own storage — it stays valid until the next
-// Record for the same key and segment, which overwrites it in place
+// string is only materialized when a profiling probe inserts a first-seen
+// key into the census. A profiling probe is that one rank lookup plus
+// slice increments; a reuse probe touches only the table's storage. The
+// returned slice is the table's own storage — it stays valid until the
+// next Record for the same key and segment, which overwrites it in place
 // (callers that retain hits across records, like the concurrent Sharded
 // wrapper, must copy; the VM consumes hits immediately).
 func (t *Table) probe(seg int, key []byte) ([]uint64, bool) {
 	st := &t.stats[seg]
 	st.Probes++
-	t.clock++
 
 	if t.cfg.Mode == ModeProfile {
 		r := t.rankOf(key)
@@ -347,11 +325,9 @@ func (t *Table) probe(seg int, key []byte) ([]uint64, bool) {
 	case t.byKey != nil:
 		e, ok := t.byKey[string(key)]
 		if !ok {
-			t.accessCounts[t.rankOf(key)]++
 			st.Misses++
 			return nil, false
 		}
-		t.accessCounts[t.entryRank(e)]++
 		if e.valid&bit == 0 {
 			st.Misses++
 			return nil, false
@@ -362,13 +338,10 @@ func (t *Table) probe(seg int, key []byte) ([]uint64, bool) {
 	case t.cfg.LRU:
 		i, resident := t.lruIdx[string(key)]
 		if !resident {
-			t.rankOf(key)
 			st.Misses++
 			return nil, false
 		}
 		e := &t.slots[i]
-		t.entryRank(e)
-		e.lastUse = t.clock
 		t.lruList.MoveToFront(i)
 		t.accessCounts[i]++
 		if e.valid&bit == 0 {
@@ -383,17 +356,14 @@ func (t *Table) probe(seg int, key []byte) ([]uint64, bool) {
 		t.accessCounts[i]++
 		e := &t.slots[i]
 		if !e.used {
-			t.rankOf(key)
 			st.Misses++
 			return nil, false
 		}
 		if !bytes.Equal(e.key, key) {
-			t.rankOf(key)
 			st.Misses++
 			st.Collisions++
 			return nil, false
 		}
-		t.entryRank(e)
 		if e.valid&bit == 0 {
 			st.Misses++
 			return nil, false
@@ -403,9 +373,8 @@ func (t *Table) probe(seg int, key []byte) ([]uint64, bool) {
 	}
 }
 
-// rankOf returns key's first-seen rank, assigning the next rank to a new
-// key. Rank-indexed access counts (optimal and profiling tables) grow
-// with the ranks, and a profiling table keeps each key for its census.
+// rankOf returns key's first-seen rank in the profiling census,
+// assigning the next rank to a new key, whose union count starts at 0.
 func (t *Table) rankOf(key []byte) int {
 	if r, ok := t.rank[string(key)]; ok {
 		return r
@@ -413,24 +382,9 @@ func (t *Table) rankOf(key []byte) int {
 	ks := string(key)
 	r := len(t.rank)
 	t.rank[ks] = r
-	if t.slots == nil {
-		t.accessCounts = append(t.accessCounts, 0)
-	}
-	if t.cfg.Mode == ModeProfile {
-		t.rankKeys = append(t.rankKeys, ks)
-	}
+	t.rankKeys = append(t.rankKeys, ks)
+	t.accessCounts = append(t.accessCounts, 0)
 	return r
-}
-
-// entryRank returns the rank of a resident entry's key, ranking the key
-// on the first probe that finds the entry and reading the stored rank
-// on every later one.
-func (t *Table) entryRank(e *entry) int {
-	if !e.ranked {
-		e.rank = int32(t.rankOf(e.key))
-		e.ranked = true
-	}
-	return int(e.rank)
 }
 
 // Record stores the outputs computed for key by segment seg. In
@@ -467,7 +421,7 @@ func (t *Table) record(seg int, key []byte, outs []uint64) {
 		e, ok := t.byKey[string(key)]
 		if !ok {
 			e = &entry{}
-			e.reclaim(key, t.cfg.Segs, t.clock)
+			e.reclaim(key, t.cfg.Segs)
 			t.byKey[string(key)] = e
 			t.resident++
 		}
@@ -480,7 +434,6 @@ func (t *Table) record(seg int, key []byte, outs []uint64) {
 			e := &t.slots[i]
 			e.valid |= bit
 			e.outs[seg] = storeOuts(e.outs[seg], outs)
-			e.lastUse = t.clock
 			t.lruList.MoveToFront(i)
 			return
 		}
@@ -500,7 +453,7 @@ func (t *Table) record(seg int, key []byte, outs []uint64) {
 		}
 		t.lruIdx[string(key)] = victim
 		e := &t.slots[victim]
-		e.reclaim(key, t.cfg.Segs, t.clock)
+		e.reclaim(key, t.cfg.Segs)
 		e.valid = bit
 		e.outs[seg] = storeOuts(e.outs[seg], outs)
 
@@ -516,7 +469,7 @@ func (t *Table) record(seg int, key []byte, outs []uint64) {
 			} else {
 				t.resident++
 			}
-			e.reclaim(key, t.cfg.Segs, t.clock)
+			e.reclaim(key, t.cfg.Segs)
 		}
 		e.valid |= bit
 		e.outs[seg] = storeOuts(e.outs[seg], outs)
@@ -563,7 +516,6 @@ func (t *Table) Reset() {
 	for i := range t.stats {
 		t.stats[i] = SegStats{}
 	}
-	t.clock = 0
 	t.resident = 0
 	for i := range t.slots {
 		t.slots[i] = entry{}
@@ -576,14 +528,13 @@ func (t *Table) Reset() {
 	if t.byKey != nil {
 		clear(t.byKey)
 	}
-	clear(t.rank)
-	if t.slots != nil {
-		clear(t.accessCounts)
-	} else {
+	clear(t.accessCounts)
+	if t.cfg.Mode == ModeProfile {
+		clear(t.rank)
+		clear(t.rankKeys)
+		t.rankKeys = t.rankKeys[:0]
 		t.accessCounts = t.accessCounts[:0]
 	}
-	clear(t.rankKeys)
-	t.rankKeys = t.rankKeys[:0]
 	for i := range t.segCounts {
 		t.segCounts[i] = t.segCounts[i][:0]
 		t.segDistinct[i] = 0
@@ -593,16 +544,23 @@ func (t *Table) Reset() {
 	}
 }
 
-// Distinct returns the number of distinct input sets seen across all
-// merged segments. In ModeProfile this is the union census size; in reuse
-// modes — optimal, direct-addressed and LRU alike — it is the number of
-// distinct keys ever probed, the paper's N_ds, even when the bounded
-// storage itself no longer holds them.
-func (t *Table) Distinct() int { return len(t.rank) }
+// Distinct returns the number of distinct input sets across all merged
+// segments. In ModeProfile it is the union census size, the paper's
+// N_ds. In reuse modes it is the number of keys stored since the last
+// Reset, Resident plus Evictions: for an unbounded table that is N_ds of
+// the recorded keys, and a bounded table counts a key again each time
+// it is stored after its eviction. A reuse table keeps no key it does
+// not hold.
+func (t *Table) Distinct() int {
+	if t.cfg.Mode == ModeProfile {
+		return len(t.rank)
+	}
+	return t.resident + int(t.TotalStats().Evictions)
+}
 
 // SegDistinct returns the paper's N_ds for one segment: the number of
 // distinct input sets that segment probed with (ModeProfile only; falls
-// back to the union count otherwise).
+// back to Distinct otherwise).
 func (t *Table) SegDistinct(seg int) int {
 	if t.segDistinct != nil {
 		return t.segDistinct[seg]
@@ -611,10 +569,10 @@ func (t *Table) SegDistinct(seg int) int {
 }
 
 // AccessCounts returns a copy of the probe counts per table entry (slot
-// index for bounded tables, first-seen rank for optimal and profiling
-// tables), sorted by index. This regenerates the paper's Figures 7 and 8.
-// The slice ends at the last entry probed at least once; it is nil when
-// no entry was.
+// index for bounded tables, first-seen rank for profiling tables), sorted
+// by index; unbounded reuse tables count none. This regenerates the
+// paper's Figures 7 and 8. The slice ends at the last entry probed at
+// least once; it is nil when no entry was.
 func (t *Table) AccessCounts() []int64 {
 	n := len(t.accessCounts)
 	for n > 0 && t.accessCounts[n-1] == 0 {
@@ -626,18 +584,11 @@ func (t *Table) AccessCounts() []int64 {
 	return append([]int64(nil), t.accessCounts[:n]...)
 }
 
-// SizeBytes reports the modeled memory consumption of the table: per entry,
-// the input key plus every merged segment's outputs plus (for merged
-// tables) an 8-byte valid-bit vector, times the entry count. For optimal
-// tables the entry count is the number of distinct keys stored so far.
+// SizeBytes reports the modeled memory consumption of the table:
+// EntryBytes times the entry count. For optimal tables the entry count
+// is the number of distinct keys stored so far, in ModeProfile the
+// census size.
 func (t *Table) SizeBytes() int {
-	per := t.cfg.KeyBytes
-	for _, b := range t.cfg.OutBytes {
-		per += b
-	}
-	if t.cfg.Segs > 1 {
-		per += 8
-	}
 	n := t.cfg.Entries
 	if t.byKey != nil {
 		n = len(t.byKey)
@@ -645,10 +596,12 @@ func (t *Table) SizeBytes() int {
 	if t.cfg.Mode == ModeProfile {
 		n = len(t.rank)
 	}
-	return per * n
+	return t.EntryBytes() * n
 }
 
-// EntryBytes returns the modeled bytes of one table entry.
+// EntryBytes returns the modeled bytes of one table entry: the input key
+// plus every merged segment's outputs plus (for merged tables) an 8-byte
+// valid-bit vector.
 func (t *Table) EntryBytes() int {
 	per := t.cfg.KeyBytes
 	for _, b := range t.cfg.OutBytes {

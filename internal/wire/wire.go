@@ -192,7 +192,7 @@ const (
 	StatsHits
 	StatsMisses
 	StatsRecords
-	StatsDistinct
+	StatsDistinct // keys stored since the last flush: resident plus evicted
 	StatsResident
 	StatsBypassed // requests answered with FlagBypass
 	StatsState    // 0 = admitted, 1 = bypassed

@@ -52,7 +52,11 @@ type MemoStats struct {
 	// Hits is the number served without running f: found in the table, or
 	// joined onto another caller's in-flight computation of the same key.
 	Hits int64
-	// Distinct is the number of distinct inputs computed.
+	// Distinct is the number of distinct inputs computed. For a
+	// MemoTable it is the number of keys stored since the last Reset,
+	// Resident plus Evictions: exact for an unbounded table, while a
+	// bounded one counts a key again each time it is stored after its
+	// eviction, and a Store with no Lookup before it counts too.
 	Distinct int64
 	// Evictions is the number of resident entries displaced by bounded
 	// replacement (LRU or direct-addressed overwrite). Always 0 for the
@@ -66,8 +70,7 @@ type MemoStats struct {
 // atomically; Hits and Distinct are loaded before Calls so that — since
 // every Hits/Distinct increment is preceded by its call's Calls increment
 // and the counters only grow — the snapshot always satisfies
-// Hits <= Calls and Distinct <= Calls, keeping HitRatio and ReuseRate in
-// [0, 1].
+// Hits <= Calls and Distinct <= Calls, keeping HitRatio in [0, 1].
 func (s *MemoStats) Snapshot() MemoStats {
 	hits := atomic.LoadInt64(&s.Hits)
 	distinct := atomic.LoadInt64(&s.Distinct)
@@ -84,9 +87,12 @@ func (s MemoStats) HitRatio() float64 {
 	return float64(s.Hits) / float64(s.Calls)
 }
 
-// ReuseRate is the paper's R = 1 − N_ds/N.
+// ReuseRate is the paper's R = 1 − N_ds/N, with Distinct as N_ds. It is
+// 0 when never called and never below 0: a MemoTable's Distinct can
+// exceed Calls (Stores without a Lookup, or a bounded table storing a
+// key again after its eviction), and such a table reused nothing.
 func (s MemoStats) ReuseRate() float64 {
-	if s.Calls == 0 {
+	if s.Calls == 0 || s.Distinct >= s.Calls {
 		return 0
 	}
 	return 1 - float64(s.Distinct)/float64(s.Calls)
@@ -352,18 +358,14 @@ func (m *MemoTable) Store(key []byte, value uint64) {
 	m.tab.Record(0, key, vals[:])
 }
 
-// Stats returns the table's probe statistics. It reads each shard's
-// counters under that shard's lock, in turn, so it is race-free against
-// concurrent Lookup/Store callers and holds up a probe for at most one
-// shard's read.
+// Stats returns the table's probe statistics: Calls counts Lookups, and
+// Distinct the keys stored since the last Reset (see MemoStats.Distinct).
+// It reads each shard's counters under that shard's lock, in turn, so it
+// is race-free against concurrent Lookup/Store callers and holds up a
+// probe for at most one shard's read.
 func (m *MemoTable) Stats() MemoStats {
-	// Distinct is read before the probe counters: a shard never holds
-	// more distinct keys than it has counted probes, and both only grow,
-	// so this order keeps Distinct <= Calls (and ReuseRate in [0, 1])
-	// even mid-flight.
-	distinct := int64(m.tab.Distinct())
 	st := m.tab.Stats(0)
-	return MemoStats{Calls: st.Probes, Hits: st.Hits, Distinct: distinct, Evictions: st.Evictions}
+	return MemoStats{Calls: st.Probes, Hits: st.Hits, Distinct: int64(m.tab.Distinct()), Evictions: st.Evictions}
 }
 
 // Reset empties the table and zeroes its statistics without

@@ -1,6 +1,7 @@
 package compreuse
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -42,12 +43,6 @@ func TestMemoTableHitZeroAlloc(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			m.Store(kb.Reset().Int(int64(i)).Int(int64(i*31)).Bytes(), uint64(i))
 		}
-		// Probe each key once before measuring: a first-ever probe inserts
-		// the key into the distinct-key census (the paper's N_ds), which is
-		// the one legitimate allocation on the probe path.
-		for i := 0; i < 64; i++ {
-			m.Lookup(kb.Reset().Int(int64(i)).Int(int64(i * 31)).Bytes())
-		}
 		i := 0
 		assertZeroAllocs(t, cfg.Name+"/lookup-hit", func() {
 			k := kb.Reset().Int(int64(i & 63)).Int(int64((i & 63) * 31)).Bytes()
@@ -73,11 +68,6 @@ func TestTieredMemoL1HitZeroAlloc(t *testing.T) {
 	compute := func() uint64 { t.Fatal("L1 hit must not compute"); return 0 }
 	for i := 0; i < 64; i++ {
 		tm.l1.Store(kb.Reset().Int(int64(i)).Float(float64(i)).Bytes(), uint64(i))
-	}
-	// First probes insert into the distinct-key census; warm them out of
-	// the measured loop.
-	for i := 0; i < 64; i++ {
-		tm.Do(kb.Reset().Int(int64(i)).Float(float64(i)).Bytes(), compute)
 	}
 	i := 0
 	assertZeroAllocs(t, "tiered/l1-hit", func() {
@@ -111,11 +101,53 @@ func BenchmarkMemoTableHit(b *testing.B) {
 	for i := 0; i < 256; i++ {
 		k := kb.Reset().Int(int64(i)).Int(int64(i * 31)).Bytes()
 		m.Store(k, uint64(i))
-		m.Lookup(k) // first probe census-inserts; keep it out of the loop
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Lookup(kb.Reset().Int(int64(i & 255)).Int(int64((i & 255) * 31)).Bytes())
 	}
+}
+
+// TestMemoTableBoundedHeap pins a bounded MemoTable's heap to its
+// entries: a 4096-entry table (TieredMemo's L1 shape, and a
+// direct-addressed one) that looks up and then stores 500 000 distinct
+// keys may hold at most 2 MB more live heap than after its first 8 192
+// keys. A table that kept each key it was ever probed with grows by
+// tens of megabytes.
+func TestMemoTableBoundedHeap(t *testing.T) {
+	const entries, warm, total, slack = 4096, 8192, 500_000, 2 << 20
+	for _, cfg := range []MemoTableConfig{
+		{Name: "heap-lru", Entries: entries, LRU: true},
+		{Name: "heap-direct", Entries: entries},
+	} {
+		mt := NewMemoTable(cfg)
+		var kb KeyBuf
+		feed := func(from, to int64) {
+			for i := from; i < to; i++ {
+				key := kb.Reset().Int(i).Bytes()
+				if _, ok := mt.Lookup(key); !ok {
+					mt.Store(key, uint64(i))
+				}
+			}
+		}
+		feed(0, warm)
+		base := liveHeap()
+		feed(warm, total)
+		if grown := liveHeap() - base; grown > slack {
+			t.Errorf("%s: heap grew %d bytes over %d more distinct keys, want at most %d",
+				cfg.Name, grown, total-warm, slack)
+		}
+		if got := mt.Resident(); got != entries {
+			t.Errorf("%s: %d resident entries, want %d", cfg.Name, got, entries)
+		}
+	}
+}
+
+// liveHeap returns the bytes of live heap objects after a full GC.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }

@@ -265,8 +265,12 @@ func TestMemoTableParallel(t *testing.T) {
 			if st.Calls != workers*ops {
 				t.Fatalf("calls = %d, want %d", st.Calls, workers*ops)
 			}
-			if st.Distinct <= 0 || st.Distinct > keys {
-				t.Fatalf("distinct = %d, want 1..%d", st.Distinct, keys)
+			// Distinct counts stored keys: Resident plus Evictions, which
+			// stays within the key universe only when nothing is evicted.
+			if want := int64(mt.Resident()) + st.Evictions; st.Distinct != want ||
+				st.Distinct <= 0 || (cfg.Entries == 0 && st.Distinct > keys) {
+				t.Fatalf("distinct = %d, want Resident+Evictions = %d, in 1..%d if unbounded",
+					st.Distinct, want, keys)
 			}
 		})
 	}
@@ -274,14 +278,24 @@ func TestMemoTableParallel(t *testing.T) {
 
 // TestMemoTableBoundedDistinct is the regression test for the wrong-stats
 // bug: bounded tables used to report Distinct = 0, which made ReuseRate()
-// return 1.0 regardless of the input stream.
+// return 1.0 regardless of the input stream. Distinct counts the keys
+// stored, Resident plus Evictions: a table too small for the stream
+// stores a key again on every pass and reuses nothing, one that holds
+// the stream stores each key once. A Store with no Lookup before it can
+// take Distinct past Calls; ReuseRate stays in [0, 1].
 func TestMemoTableBoundedDistinct(t *testing.T) {
-	for _, cfg := range []MemoTableConfig{
-		{Name: "direct8", Entries: 8},
-		{Name: "lru8", Entries: 8, LRU: true},
-		{Name: "direct-sharded", Entries: 16, Shards: 4},
+	for _, cfg := range []struct {
+		MemoTableConfig
+		distinct int64 // 0: only Resident+Evictions is pinned
+	}{
+		// Keys k and k+8 share a slot and alternate, so every lookup misses.
+		{MemoTableConfig{Name: "direct8", Entries: 8}, 160},
+		// The 16-key cycle evicts each key before it comes back.
+		{MemoTableConfig{Name: "lru8", Entries: 8, LRU: true}, 160},
+		{MemoTableConfig{Name: "lru16", Entries: 16, LRU: true}, 16},
+		{MemoTableConfig{Name: "direct-sharded", Entries: 16, Shards: 4}, 0},
 	} {
-		mt := NewMemoTable(cfg)
+		mt := NewMemoTable(cfg.MemoTableConfig)
 		// 16 distinct keys, 10 rounds each: a repeating input stream.
 		const distinct, rounds = 16, 10
 		for r := 0; r < rounds; r++ {
@@ -293,15 +307,29 @@ func TestMemoTableBoundedDistinct(t *testing.T) {
 			}
 		}
 		st := mt.Stats()
-		if st.Distinct != distinct {
-			t.Errorf("%s: Distinct = %d, want %d", cfg.Name, st.Distinct, distinct)
+		want := int64(mt.Resident()) + st.Evictions
+		if st.Distinct != want || (cfg.distinct != 0 && st.Distinct != cfg.distinct) {
+			t.Errorf("%s: Distinct = %d, want Resident+Evictions = %d (pinned %d)",
+				cfg.Name, st.Distinct, want, cfg.distinct)
 		}
 		if st.Calls != distinct*rounds {
 			t.Errorf("%s: Calls = %d, want %d", cfg.Name, st.Calls, distinct*rounds)
 		}
-		if r := st.ReuseRate(); r >= 1 || r <= 0 {
-			t.Errorf("%s: ReuseRate = %v, want in (0, 1)", cfg.Name, r)
+		r := st.ReuseRate()
+		if wantR := 1 - float64(min(st.Distinct, st.Calls))/float64(st.Calls); r != wantR || r >= 1 || r < 0 {
+			t.Errorf("%s: ReuseRate = %v, want %v in [0, 1)", cfg.Name, r, wantR)
 		}
+	}
+
+	// One Lookup, then three Stores with no Lookup before them.
+	mt := NewMemoTable(MemoTableConfig{Name: "store-only", Entries: 8, LRU: true})
+	mt.Lookup(EncodeInt(nil, 0))
+	for k := int64(0); k < 3; k++ {
+		mt.Store(EncodeInt(nil, k), uint64(k))
+	}
+	if st := mt.Stats(); st.Calls != 1 || st.Distinct != 3 || st.ReuseRate() != 0 {
+		t.Errorf("store-only: Calls %d Distinct %d ReuseRate %v, want 1, 3, 0",
+			st.Calls, st.Distinct, st.ReuseRate())
 	}
 }
 

@@ -57,7 +57,7 @@ func TestRemoteHitAllocs(t *testing.T) {
 				t.Fatalf("Get = %v, %v, %v; want [42], hit, <nil>", vals, status, err)
 			}
 		}},
-		{"TieredMemo.Do L2 hit, L1 emptied", 10, func() {
+		{"TieredMemo.Do L2 hit, L1 emptied", 9, func() {
 			tm.l1.Reset()
 			if v := tm.Do(key, noCompute); v != 7 {
 				t.Fatalf("Do = %d, want 7", v)
